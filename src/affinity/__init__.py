@@ -24,8 +24,9 @@ from .measures import (AffinityTable, RadiusEstimate, approx_hitting_time,
                        hitting_time_via_embedding, tetali_hitting_time)
 from .oracle import (WalkEstimate, broken_cycle_resistance, build_cycle,
                      build_path, counterexample_pair, cycle_resistance,
-                     find_witness_graph, mc_hitting_time,
-                     random_connected_graph, spd_bellman_ford, witness_graph)
+                     find_witness_graph, grounded_hitting_times,
+                     mc_hitting_time, random_connected_graph,
+                     spd_bellman_ford, witness_graph)
 from .solvers import (DensePseudoinverse, PseudoinverseRankError, SolverConfig,
                       SolverConvergenceError, dense_laplacian,
                       dense_pseudoinverse, project_out_nullspace,
@@ -33,4 +34,25 @@ from .solvers import (DensePseudoinverse, PseudoinverseRankError, SolverConfig,
 from .wl import (Coloring, ExpressivityReport, expressivity_report,
                  quantize_edge_values, refines, wl_refine)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ResistiveEmbedding", "RotationMatrix", "embedding_mean",
+    "exact_embedding", "jl_dimension", "random_rotation", "rotate_embedding",
+    "sketched_embedding", "FeatureSet", "assemble_features",
+    "augment_with_rotation", "export_features", "load_features",
+    "CrossComponentError", "Graph", "GraphInputError",
+    "StationaryDistribution", "apply_laplacian", "build_graph",
+    "disjoint_union", "graph_from_edgelist", "graph_from_json",
+    "graph_to_json_dict", "load_graph", "stationary_distribution",
+    "AffinityTable", "RadiusEstimate", "approx_hitting_time", "commute_time",
+    "effective_resistance", "effective_resistance_from_embedding",
+    "hitting_time_exact", "hitting_time_radius", "hitting_time_via_embedding",
+    "tetali_hitting_time", "WalkEstimate", "broken_cycle_resistance",
+    "build_cycle", "build_path", "counterexample_pair", "cycle_resistance",
+    "find_witness_graph", "grounded_hitting_times", "mc_hitting_time",
+    "random_connected_graph", "spd_bellman_ford", "witness_graph",
+    "DensePseudoinverse", "PseudoinverseRankError", "SolverConfig",
+    "SolverConvergenceError", "dense_laplacian", "dense_pseudoinverse",
+    "project_out_nullspace", "solve_laplacian", "Coloring",
+    "ExpressivityReport", "expressivity_report", "quantize_edge_values",
+    "refines", "wl_refine",
+]

@@ -1,11 +1,13 @@
 """Pairwise affinity measures: effective resistance, hitting and commute
 times, and their embedding-based counterparts.
 
-Exact hitting times come from grounded Laplacian systems (target row and
-column removed); embedding-based ones use the inner-product identity
-H(u, v) = 2M <r_v - r_u, r_v - p> with the stationary mean p. Both agree with
-Tetali's resistance formula, which is implemented separately as a third route
-for cross-checking.
+Exact hitting times are closed forms in the Laplacian pseudoinverse:
+H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv), so the all-pairs table
+costs one cached eigendecomposition plus O(n^2), and one target's column is
+one Laplacian solve against d - 2M e_t. Embedding-based ones use
+H(u, v) = 2M <r_v - r_u, r_v - p> with the stationary mean p, the same
+formula with the embedding's Gram matrix in place of L+. Tetali's resistance
+formula is implemented separately as a third route for cross-checking.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 
 from .embeddings import ResistiveEmbedding
 from .graph import CrossComponentError, Graph
-from .solvers import SolverConfig, laplacian_csr, pcg, dense_pseudoinverse, \
-    solve_laplacian
+from .solvers import SolverConfig, dense_pseudoinverse, solve_laplacian
 
 
 def _check_node(graph: Graph, node: int, name: str) -> int:
@@ -78,37 +79,19 @@ def hitting_time_exact(graph: Graph, target: int,
                        config: SolverConfig | None = None) -> np.ndarray:
     """Expected steps to first reach ``target`` from every node.
 
-    Solves the grounded system (L with the target row and column deleted,
-    restricted to the target's component) with right-hand side equal to the
-    weighted degrees. Entries outside the target's component are +inf; the
-    target's own entry is 0.
+    One Laplacian solve: on the target's component the hitting-time column h
+    satisfies L h = d - 2M e_t (M the component's edge mass), so with y the
+    solution for that right-hand side (zero elsewhere) h = y - y_t. Entries
+    outside the target's component are +inf; the target's own entry is 0.
     """
-    config = config or SolverConfig()
     target = _check_node(graph, target, "target")
-    out = np.full(graph.num_nodes, np.inf)
+    label = int(graph.component_of[target])
+    on_comp = graph.component_of == label
+    rhs = np.where(on_comp, graph.degrees, 0.0)
+    rhs[target] -= 2.0 * _component_edge_weight(graph, label)
+    y = solve_laplacian(graph, rhs, config)
+    out = np.where(on_comp, y - y[target], np.inf)
     out[target] = 0.0
-    comp_nodes = graph.component_nodes(int(graph.component_of[target]))
-    rest = comp_nodes[comp_nodes != target]
-    if rest.size == 0:
-        return out
-    rhs = graph.degrees[rest]
-    if rest.size < config.dense_threshold:
-        lap = laplacian_csr(graph)
-        sub = lap[rest][:, rest].toarray()
-        out[rest] = np.linalg.solve(sub, rhs)
-    else:
-        lap = laplacian_csr(graph)
-        n = graph.num_nodes
-
-        def grounded_matvec(block: np.ndarray) -> np.ndarray:
-            full = np.zeros((n, block.shape[1]))
-            full[rest] = block
-            return (lap @ full)[rest]
-
-        inv_deg = 1.0 / graph.degrees[rest]
-        x, _ = pcg(grounded_matvec, inv_deg, rhs[:, None],
-                   config.rel_tolerance, config.iteration_cap(rest.size))
-        out[rest] = x[:, 0]
     return out
 
 
@@ -251,6 +234,30 @@ def hitting_time_radius(graph: Graph, config: SolverConfig | None = None,
     return RadiusEstimate(value=best, exact=exact, num_targets=len(targets))
 
 
+def _hitting_table(graph: Graph, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """(hit, h_max) from an (n, n) Gram matrix G: L+ or embedding products.
+
+    Per component, with a = G d / 2M, hit[u, v] = 2M (G_vv - G_uv - a_v + a_u);
+    +inf across components, 0 on the diagonal; h_max is the largest finite
+    entry.
+    """
+    n = graph.num_nodes
+    hit = np.full((n, n), np.inf)
+    for label in range(graph.num_components):
+        nodes = graph.component_nodes(label)
+        if nodes.size < 2:
+            continue
+        mass = _component_edge_weight(graph, label)
+        block = np.ix_(nodes, nodes)
+        g = gram[block]
+        a = g @ graph.degrees[nodes] / (2.0 * mass)
+        hit[block] = 2.0 * mass * (np.diag(g)[None, :] - g - a[None, :]
+                                   + a[:, None])
+    np.fill_diagonal(hit, 0.0)
+    finite = hit[np.isfinite(hit)]
+    return hit, float(finite.max()) if finite.size else 0.0
+
+
 @dataclass(frozen=True)
 class AffinityTable:
     """All-pairs affinity tables.
@@ -275,23 +282,20 @@ class AffinityTable:
     @classmethod
     def exact(cls, graph: Graph, config: SolverConfig | None = None,
               cap: int = 2048) -> "AffinityTable":
-        """Dense exact tables; one grounded solve per target node."""
+        """Dense exact tables in closed form from the pseudoinverse, with M
+        per component: H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv)
+        (Tetali 1991). Cost: one cached eigendecomposition plus O(n^2); no
+        linear solve runs, so ``config`` is unused."""
         if graph.num_nodes > cap:
             raise ValueError(f"exact affinity table capped at {cap} nodes, "
                              f"graph has {graph.num_nodes}")
-        config = config or SolverConfig()
-        n = graph.num_nodes
         pinv = dense_pseudoinverse(graph, cap=cap).matrix
         diag = np.diag(pinv)
         res = diag[:, None] + diag[None, :] - 2.0 * pinv
         np.fill_diagonal(res, 0.0)
         cross = graph.component_of[:, None] != graph.component_of[None, :]
         res[cross] = np.inf
-        hit = np.empty((n, n))
-        for t in range(n):
-            hit[:, t] = hitting_time_exact(graph, t, config)
-        finite = hit[np.isfinite(hit)]
-        h_max = float(finite.max()) if finite.size else 0.0
+        hit, h_max = _hitting_table(graph, pinv)
         return cls(res=res, hit=hit, h_max=h_max,
                    total_weight=graph.total_weight, kind="exact")
 
@@ -302,25 +306,8 @@ class AffinityTable:
         matrix algebra; runs per connected component."""
         if embedding.num_nodes != graph.num_nodes:
             raise ValueError("embedding and graph disagree on node count")
-        n = graph.num_nodes
-        hit = np.full((n, n), np.inf)
-        for label in range(max(graph.num_components, 1)):
-            nodes = graph.component_nodes(label) if graph.num_components > 1 \
-                else np.arange(n)
-            if nodes.size == 0:
-                continue
-            mean, mass = _component_mean(embedding, graph, label)
-            vecs = embedding.vectors[nodes]
-            gram = vecs @ vecs.T
-            sq = np.diag(gram)
-            against_mean = vecs @ mean
-            # hit[u, v] = 2M (<r_v, r_v> - <r_u, r_v> - <r_v, p> + <r_u, p>)
-            block = 2.0 * mass * (sq[None, :] - gram
-                                  - against_mean[None, :] + against_mean[:, None])
-            hit[np.ix_(nodes, nodes)] = block
-        np.fill_diagonal(hit, 0.0)
-        finite = hit[np.isfinite(hit)]
-        h_max = float(finite.max()) if finite.size else 0.0
+        vecs = embedding.vectors
+        hit, h_max = _hitting_table(graph, vecs @ vecs.T)
         return cls(res=None, hit=hit, h_max=h_max,
                    total_weight=graph.total_weight, kind="approximate",
                    epsilon=embedding.epsilon)

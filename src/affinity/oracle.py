@@ -89,6 +89,28 @@ def mc_hitting_time(graph: Graph, u: int, v: int, num_walks: int,
                         truncated=truncated, max_steps=max_steps)
 
 
+def grounded_hitting_times(graph: Graph) -> np.ndarray:
+    """All-pairs hitting times hit[u, t] = H(u, t), one dense solve per target.
+
+    For each target t, the Laplacian built here from the edge arrays is
+    restricted to t's component minus t and solved against the weighted
+    degrees. Entries across components are +inf and the diagonal is 0.
+    """
+    n = graph.num_nodes
+    lap = np.zeros((n, n))
+    np.add.at(lap, (graph.edge_u, graph.edge_v), -graph.edge_w)
+    np.add.at(lap, (graph.edge_v, graph.edge_u), -graph.edge_w)
+    degrees = -lap.sum(axis=1)
+    lap[np.diag_indices(n)] = degrees
+    hit = np.full((n, n), np.inf)
+    np.fill_diagonal(hit, 0.0)
+    for t in range(n):
+        rest = np.flatnonzero(graph.component_of == graph.component_of[t])
+        rest = rest[rest != t]
+        hit[rest, t] = np.linalg.solve(lap[np.ix_(rest, rest)], degrees[rest])
+    return hit
+
+
 def build_cycle(n: int) -> Graph:
     """Unit-weight cycle v_0 - v_1 - ... - v_{n-1} - v_0."""
     if n < 3:

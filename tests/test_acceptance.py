@@ -57,6 +57,11 @@ def exact_embeddings(corpus100):
     return [af.exact_embedding(g) for g in corpus100]
 
 
+@pytest.fixture(scope="session")
+def grounded_tables(corpus100):
+    return [oracle.grounded_hitting_times(g) for g in corpus100]
+
+
 def test_distance_identity_holds_across_corpus(corpus100):
     """Squared embedding distances reproduce effective resistances.
 
@@ -89,20 +94,22 @@ def test_distance_identity_holds_across_corpus(corpus100):
     assert elapsed < 60.0
 
 
-def test_commute_times_match_resistance_scaling(corpus100, exact_tables):
-    """H(u,v) + H(v,u) equals 2 * total weight * Res(u,v) on every pair."""
+def test_commute_times_match_resistance_scaling(corpus100, exact_tables,
+                                                grounded_tables):
+    """H(u,v) + H(v,u) equals 2 * total weight * Res(u,v) on every pair, with
+    hitting times from the independent grounded solves."""
     worst = 0.0
-    for g, table in zip(corpus100, exact_tables):
+    for g, table, grounded in zip(corpus100, exact_tables, grounded_tables):
         expected = 2.0 * g.total_weight * table.res
-        gap = np.abs(table.hit + table.hit.T - expected)
+        gap = np.abs(grounded + grounded.T - expected)
         worst = max(worst, float(gap.max()))
 
-    g, table = corpus100[7], exact_tables[7]
+    g, grounded = corpus100[7], grounded_tables[7]
     rng = np.random.default_rng(2)
     for u, v in rng.integers(0, g.num_nodes, size=(4, 2)):
         if u != v:
             got = af.commute_time(g, int(u), int(v))
-            assert abs(got - (table.hit[u, v] + table.hit[v, u])) <= 1e-7
+            assert abs(got - (grounded[u, v] + grounded[v, u])) <= 1e-7
 
     _report("commute identity, 100 graphs", worst <= 1e-7,
             f"max gap {worst:.3e} vs 1e-7")
@@ -110,23 +117,26 @@ def test_commute_times_match_resistance_scaling(corpus100, exact_tables):
 
 
 def test_three_hitting_time_routes_agree(corpus100, exact_tables,
-                                         exact_embeddings):
-    """Grounded solves, embedding inner products, and the resistance-only
-    folding formula give the same hitting times on every ordered pair."""
+                                         exact_embeddings, grounded_tables):
+    """Grounded solves (the independent oracle), embedding inner products,
+    and the resistance-only folding formula give the same hitting times on
+    every ordered pair, and so does the closed-form exact table."""
     worst = 0.0
-    for g, table, emb in zip(corpus100, exact_tables, exact_embeddings):
-        grounded = table.hit
+    for g, table, emb, grounded in zip(corpus100, exact_tables,
+                                       exact_embeddings, grounded_tables):
         via_embedding = AffinityTable.approximate(emb, g).hit
         commute = 2.0 * g.total_weight * table.res
         skew = commute @ af.stationary_distribution(g).pi
         folded = 0.5 * (commute + skew[None, :] - skew[:, None])
         np.fill_diagonal(folded, 0.0)
         worst = max(worst,
+                    float(np.max(np.abs(grounded - table.hit))),
                     float(np.max(np.abs(grounded - via_embedding))),
                     float(np.max(np.abs(grounded - folded))),
                     float(np.max(np.abs(via_embedding - folded))))
 
     g, table, emb = corpus100[13], exact_tables[13], exact_embeddings[13]
+    grounded = grounded_tables[13]
     pi = af.stationary_distribution(g).pi
     rng = np.random.default_rng(3)
     for u, v in rng.integers(0, g.num_nodes, size=(4, 2)):
@@ -134,9 +144,9 @@ def test_three_hitting_time_routes_agree(corpus100, exact_tables,
             continue
         u, v = int(u), int(v)
         assert abs(af.hitting_time_via_embedding(emb, g, u, v)
-                   - table.hit[u, v]) <= 1e-8
+                   - grounded[u, v]) <= 1e-8
         assert abs(af.tetali_hitting_time(g, table.res, pi, u, v)
-                   - table.hit[u, v]) <= 1e-8
+                   - grounded[u, v]) <= 1e-8
 
     _report("hitting-time route agreement, 100 graphs", worst <= 1e-6,
             f"max pairwise gap {worst:.3e} vs 1e-6")

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+import affinity.measures as measures
 from affinity.embeddings import exact_embedding, sketched_embedding
 from affinity.graph import CrossComponentError, build_graph, \
-    stationary_distribution
+    disjoint_union, stationary_distribution
 from affinity.measures import (AffinityTable, approx_hitting_time,
                                commute_time, effective_resistance,
                                hitting_time_exact, hitting_time_radius,
                                hitting_time_via_embedding,
                                tetali_hitting_time)
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
-                             random_connected_graph, spd_bellman_ford)
+                             grounded_hitting_times, random_connected_graph,
+                             spd_bellman_ford)
 from affinity.solvers import SolverConfig
 
 
@@ -98,11 +100,12 @@ def test_commute_identity_small():
 def test_embedding_hitting_matches_system(corpus_small):
     for g in corpus_small[:6]:
         emb = exact_embedding(g)
+        grounded = grounded_hitting_times(g)
         rng = np.random.default_rng(2)
         for _ in range(5):
             u, v = rng.integers(0, g.num_nodes, 2)
             u, v = int(u), int(v)
-            h_sys = hitting_time_exact(g, v)[u]
+            h_sys = grounded[u, v]
             h_emb = hitting_time_via_embedding(emb, g, u, v)
             assert abs(h_sys - h_emb) <= 1e-6 * max(1.0, h_sys)
 
@@ -165,6 +168,78 @@ def test_affinity_table_cross_component_entries():
     assert np.isinf(table.res[0, 2])
     assert np.isinf(table.hit[0, 3])
     assert np.isfinite(table.hit[0, 1])
+
+
+def test_affinity_table_exact_matches_grounded_oracle_across_components():
+    # nodes 0-5: weighted graph; 6-9: unit 4-cycle; 10: isolated
+    heavy = random_connected_graph(6, 3.0, (0.5, 3.0), seed=11)
+    cycle = build_cycle(4)
+    g, _ = disjoint_union(heavy, cycle)
+    g, _ = disjoint_union(g, build_graph(1, []))
+    assert g.num_components == 3
+    assert heavy.total_weight != cycle.total_weight
+    table = AffinityTable.exact(g)
+    grounded = grounded_hitting_times(g)
+    same = g.component_of[:, None] == g.component_of[None, :]
+    assert np.array_equal(np.isfinite(table.hit), same)
+    assert np.array_equal(np.isfinite(grounded), same)
+    assert np.all(np.diag(table.hit) == 0.0)
+    assert np.max(np.abs(table.hit[same] - grounded[same])) \
+        <= 1e-9 * max(1.0, float(grounded[same].max()))
+    assert table.h_max == pytest.approx(float(grounded[same].max()),
+                                        rel=1e-12)
+    # commute identity with each component's own edge mass
+    for nodes, part in ((np.arange(6), heavy), (np.arange(6, 10), cycle)):
+        block = np.ix_(nodes, nodes)
+        assert np.allclose(table.hit[block] + table.hit[block].T,
+                           2.0 * part.total_weight * table.res[block],
+                           rtol=1e-12, atol=1e-10)
+
+
+def test_affinity_table_exact_on_edgeless_graph():
+    g = build_graph(4, [])
+    table = AffinityTable.exact(g)
+    grounded = grounded_hitting_times(g)
+    expected = np.full((4, 4), np.inf)
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(table.hit, expected)
+    assert np.array_equal(grounded, expected)
+    assert np.array_equal(table.res, expected)
+    assert table.h_max == 0.0
+
+
+def test_hitting_time_exact_pcg_path_matches_grounded_oracle():
+    # n >= dense_threshold (512), so the solve runs block PCG; the four
+    # components keep the dense oracle cheap and exercise the projection
+    parts = [random_connected_graph(130, 3.0, (0.5, 2.0), seed=s)
+             for s in range(4)]
+    g = parts[0]
+    for part in parts[1:]:
+        g, _ = disjoint_union(g, part)
+    assert g.num_nodes >= SolverConfig().dense_threshold
+    grounded = grounded_hitting_times(g)
+    for target in (3, 200, 517):
+        got = hitting_time_exact(g, target)
+        want = grounded[:, target]
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[target] == 0.0
+        assert np.max(np.abs(got[finite] - want[finite])) \
+            <= 1e-6 * max(1.0, float(want[finite].max()))
+
+
+def test_hitting_time_exact_is_one_laplacian_solve(monkeypatch):
+    calls = []
+    real = measures.solve_laplacian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "solve_laplacian", counting)
+    g = random_connected_graph(20, 3.0, (0.5, 2.0), seed=12)
+    hitting_time_exact(g, 4)
+    assert len(calls) == 1
 
 
 def test_affinity_table_approximate_close_to_exact():

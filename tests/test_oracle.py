@@ -8,9 +8,9 @@ from affinity.measures import hitting_time_exact
 from affinity.oracle import (WITNESS_EDGES, automorphism_orbits,
                              broken_cycle_resistance, build_cycle, build_path,
                              counterexample_pair, cycle_resistance,
-                             find_witness_graph, mc_hitting_time,
-                             random_connected_graph, spd_bellman_ford,
-                             witness_graph)
+                             find_witness_graph, grounded_hitting_times,
+                             mc_hitting_time, random_connected_graph,
+                             spd_bellman_ford, witness_graph)
 
 
 def test_mc_single_edge_is_exact():
@@ -40,6 +40,17 @@ def test_mc_agrees_with_exact_within_three_stderr():
     est = mc_hitting_time(g, 0, 3, num_walks=6000, seed=9)
     assert est.truncated == 0
     assert abs(est.mean - exact[0]) <= 3.0 * est.stderr + 1e-12
+
+
+def test_grounded_hitting_times_closed_forms():
+    # path 0-1-2: H(0, 2) = 4, H(1, 2) = 3, H(0, 1) = 1; isolated node 3
+    g = build_graph(4, [(0, 1), (1, 2)])
+    hit = grounded_hitting_times(g)
+    assert np.allclose(hit[:3, :3], [[0.0, 1.0, 4.0],
+                                     [3.0, 0.0, 3.0],
+                                     [4.0, 1.0, 0.0]], atol=1e-12)
+    assert hit[3, 3] == 0.0
+    assert np.all(np.isinf(hit[3, :3])) and np.all(np.isinf(hit[:3, 3]))
 
 
 def test_mc_weighted_walk_bias():
