@@ -8,19 +8,17 @@ Carlo oracles for cross-checking.
 
 __version__ = "0.1.0"
 
-from .embeddings import (ResistiveEmbedding, RotationMatrix, embedding_mean,
-                         exact_embedding, jl_dimension, random_rotation,
-                         rotate_embedding, sketched_embedding)
+from .embeddings import (ResistiveEmbedding, RotationMatrix, exact_embedding,
+                         jl_dimension, random_rotation, rotate_embedding,
+                         sketched_embedding)
 from .features import (FeatureSet, assemble_features, augment_with_rotation,
                        export_features, load_features)
 from .graph import (CrossComponentError, Graph, GraphInputError,
-                    StationaryDistribution, apply_laplacian, build_graph,
-                    disjoint_union, graph_from_edgelist, graph_from_json,
-                    graph_to_json_dict, load_graph, stationary_distribution)
-from .measures import (AffinityTable, RadiusEstimate, approx_hitting_time,
-                       commute_time, effective_resistance,
-                       effective_resistance_from_embedding,
-                       hitting_time_exact, hitting_time_radius,
+                    StationaryDistribution, build_graph, disjoint_union,
+                    graph_from_edgelist, graph_from_json, graph_to_json_dict,
+                    load_graph, stationary_distribution)
+from .measures import (AffinityTable, commute_time, effective_resistance,
+                       effective_resistance_from_embedding, hitting_time_exact,
                        hitting_time_via_embedding, tetali_hitting_time)
 from .oracle import (WalkEstimate, broken_cycle_resistance, build_cycle,
                      build_path, counterexample_pair, cycle_resistance,
@@ -35,19 +33,18 @@ from .wl import (Coloring, ExpressivityReport, expressivity_report,
                  quantize_edge_values, refines, wl_refine)
 
 __all__ = [
-    "ResistiveEmbedding", "RotationMatrix", "embedding_mean",
-    "exact_embedding", "jl_dimension", "random_rotation", "rotate_embedding",
-    "sketched_embedding", "FeatureSet", "assemble_features",
-    "augment_with_rotation", "export_features", "load_features",
-    "CrossComponentError", "Graph", "GraphInputError",
-    "StationaryDistribution", "apply_laplacian", "build_graph",
+    "ResistiveEmbedding", "RotationMatrix", "exact_embedding", "jl_dimension",
+    "random_rotation", "rotate_embedding", "sketched_embedding",
+    "FeatureSet", "assemble_features", "augment_with_rotation",
+    "export_features", "load_features", "CrossComponentError", "Graph",
+    "GraphInputError", "StationaryDistribution", "build_graph",
     "disjoint_union", "graph_from_edgelist", "graph_from_json",
     "graph_to_json_dict", "load_graph", "stationary_distribution",
-    "AffinityTable", "RadiusEstimate", "approx_hitting_time", "commute_time",
-    "effective_resistance", "effective_resistance_from_embedding",
-    "hitting_time_exact", "hitting_time_radius", "hitting_time_via_embedding",
-    "tetali_hitting_time", "WalkEstimate", "broken_cycle_resistance",
-    "build_cycle", "build_path", "counterexample_pair", "cycle_resistance",
+    "AffinityTable", "commute_time", "effective_resistance",
+    "effective_resistance_from_embedding", "hitting_time_exact",
+    "hitting_time_via_embedding", "tetali_hitting_time", "WalkEstimate",
+    "broken_cycle_resistance", "build_cycle", "build_path",
+    "counterexample_pair", "cycle_resistance",
     "find_witness_graph", "grounded_hitting_times", "mc_hitting_time",
     "random_connected_graph", "spd_bellman_ford", "witness_graph",
     "DensePseudoinverse", "PseudoinverseRankError", "SolverConfig",

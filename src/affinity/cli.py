@@ -8,9 +8,9 @@ Subcommands:
     bench              time a sketched embedding on a random graph
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
-non-convergence. Solver knobs can also come from the environment
-(AFFINITY_DENSE_THRESHOLD, AFFINITY_TOL, AFFINITY_MAX_ITER); explicit flags
-win over the environment.
+non-convergence. The solver knobs of compute and bench can also come from
+the environment (AFFINITY_DENSE_THRESHOLD, AFFINITY_TOL, AFFINITY_MAX_ITER);
+explicit flags win over the environment.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="witness | pair:K | path to a graph file")
     p_demo.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    _add_solver_flags(p_demo)
 
     p_gen = sub.add_parser("gen", help="emit generator graphs as JSON")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
@@ -234,7 +233,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    config = _solver_config(args)
     selector = args.graph
     if selector == "witness":
         graphs = [("witness", witness_graph())]
@@ -252,7 +250,7 @@ def _cmd_demo(args) -> int:
 
     payload = {}
     for name, graph in graphs:
-        report = expressivity_report(graph, config)
+        report = expressivity_report(graph)
         payload[name] = report.to_dict()
         if not args.json:
             print(f"graph {name}: {graph.num_nodes} nodes, "

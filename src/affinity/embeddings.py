@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 
-from .graph import Graph, StationaryDistribution
+from .graph import Graph
 from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
                       solve_laplacian)
 
@@ -163,16 +163,6 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
     return ResistiveEmbedding(vectors=vectors, kind="sketched", mean=mean,
                               epsilon=float(epsilon), seed=int(seed),
                               jl_constant=float(jl_constant))
-
-
-def embedding_mean(embedding: ResistiveEmbedding,
-                   pi: StationaryDistribution | np.ndarray) -> np.ndarray:
-    """Recompute the stationary-weighted mean row of an embedding."""
-    weights = pi.pi if isinstance(pi, StationaryDistribution) else np.asarray(pi)
-    if weights.shape != (embedding.num_nodes,):
-        raise ValueError(f"distribution has {weights.shape} entries, embedding "
-                         f"has {embedding.num_nodes} nodes")
-    return weights @ embedding.vectors
 
 
 def random_rotation(dim: int, seed: int) -> RotationMatrix:

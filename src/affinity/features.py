@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import (ResistiveEmbedding, exact_embedding, random_rotation,
-                         sketched_embedding)
+from .embeddings import exact_embedding, random_rotation, sketched_embedding
 from .graph import Graph, GraphInputError
+from .measures import _pair_hitting_times
 from .solvers import SolverConfig
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
@@ -68,35 +68,6 @@ def graph_digest(graph: Graph) -> str:
     return h.hexdigest()
 
 
-def _edge_hitting_times(graph: Graph, embedding: ResistiveEmbedding,
-                        diffs: np.ndarray) -> np.ndarray:
-    """(m, 2) array of (H(u, v), H(v, u)) per edge, from the inner-product
-    identity, with component-local mean and edge mass."""
-    n_comp = max(graph.num_components, 1)
-    if graph.num_components <= 1:
-        comp_mass = np.array([graph.total_weight])
-        comp_mean = embedding.mean[None, :]
-    else:
-        comp_mass = np.zeros(n_comp)
-        np.add.at(comp_mass, graph.component_of[graph.edge_u], graph.edge_w)
-        sums = np.zeros((n_comp, embedding.dim))
-        for j in range(embedding.dim):
-            sums[:, j] = np.bincount(graph.component_of,
-                                     weights=graph.degrees
-                                     * embedding.vectors[:, j],
-                                     minlength=n_comp)
-        comp_mean = sums / (2.0 * comp_mass[:, None])
-    edge_comp = graph.component_of[graph.edge_u]
-    mass = comp_mass[edge_comp]
-    mean = comp_mean[edge_comp]
-    vec_u = embedding.vectors[graph.edge_u]
-    vec_v = embedding.vectors[graph.edge_v]
-    # diffs = r_u - r_v; H(u, v) = 2M <r_v - r_u, r_v - p>
-    h_uv = 2.0 * mass * np.einsum("ij,ij->i", -diffs, vec_v - mean)
-    h_vu = 2.0 * mass * np.einsum("ij,ij->i", diffs, vec_u - mean)
-    return np.column_stack([h_uv, h_vu])
-
-
 def assemble_features(graph: Graph, families, epsilon: float | None = None,
                       seed: int = 0, config: SolverConfig | None = None,
                       jl_constant: float = 4.0,
@@ -138,7 +109,9 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     if "edge_er" in requested:
         arrays["edge_er"] = np.einsum("ij,ij->i", diffs, diffs)
     if "edge_ht" in requested:
-        arrays["edge_ht"] = _edge_hitting_times(graph, embedding, diffs)
+        arrays["edge_ht"] = np.column_stack([
+            _pair_hitting_times(embedding, graph, graph.edge_u, graph.edge_v),
+            _pair_hitting_times(embedding, graph, graph.edge_v, graph.edge_u)])
     if "node_embedding" in requested:
         arrays["node_embedding"] = embedding.vectors
     if "edge_embedding" in requested:

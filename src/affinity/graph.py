@@ -3,8 +3,8 @@
 The :class:`Graph` container is the input type for everything else in this
 package. It keeps the edge list in canonical form (endpoints ordered, parallel
 edges merged by summing weights), precomputes weighted degrees and connected
-components, and carries a CSR-style adjacency usable for walks, refinement,
-and matrix-free Laplacian products.
+components, and carries a CSR-style adjacency usable for walks and
+refinement.
 """
 
 from __future__ import annotations
@@ -219,23 +219,6 @@ def build_graph(num_nodes: int, edges) -> Graph:
         nbr_edge_ids=eid[order],
         nbr_forward=fwd[order],
     )
-
-
-def apply_laplacian(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Compute L x = (D - A) x in one pass over the edge arrays.
-
-    ``x`` is a length-n node vector. No Laplacian matrix is materialized.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.num_nodes,):
-        raise ValueError(f"expected vector of length {graph.num_nodes}, "
-                         f"got shape {x.shape}")
-    n = graph.num_nodes
-    pull = (np.bincount(graph.edge_u, weights=graph.edge_w * x[graph.edge_v],
-                        minlength=n)
-            + np.bincount(graph.edge_v, weights=graph.edge_w * x[graph.edge_u],
-                          minlength=n))
-    return graph.degrees * x - pull
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ Exact hitting times are closed forms in the Laplacian pseudoinverse:
 H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv), so the all-pairs table
 costs one cached eigendecomposition plus O(n^2), and one target's column is
 one Laplacian solve against d - 2M e_t. Embedding-based ones use
-H(u, v) = 2M <r_v - r_u, r_v - p> with the stationary mean p, the same
-formula with the embedding's Gram matrix in place of L+. Tetali's resistance
-formula is implemented separately as a third route for cross-checking.
+H(u, v) = 2M <r_v - r_u, r_v - p> with the stationary mean p. The identity
+lives in two helpers, both with M and p taken per connected component:
+:func:`_pair_hitting_times` evaluates the vector form for arrays of pairs
+(single queries and every edge of a feature set), and :func:`_hitting_table`
+evaluates the Gram form for all pairs, with L+ or the embedding's Gram
+matrix. Tetali's resistance formula is implemented separately as a third
+route for cross-checking.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .embeddings import ResistiveEmbedding
 from .graph import CrossComponentError, Graph
@@ -71,7 +76,7 @@ def commute_time(graph: Graph, u: int, v: int,
     if u == v:
         return 0.0
     _require_same_component(graph, u, v)
-    mass = _component_edge_weight(graph, int(graph.component_of[u]))
+    mass = float(_component_masses(graph)[graph.component_of[u]])
     return 2.0 * mass * effective_resistance(graph, u, v, config)
 
 
@@ -88,33 +93,58 @@ def hitting_time_exact(graph: Graph, target: int,
     label = int(graph.component_of[target])
     on_comp = graph.component_of == label
     rhs = np.where(on_comp, graph.degrees, 0.0)
-    rhs[target] -= 2.0 * _component_edge_weight(graph, label)
+    rhs[target] -= 2.0 * _component_masses(graph)[label]
     y = solve_laplacian(graph, rhs, config)
     out = np.where(on_comp, y - y[target], np.inf)
     out[target] = 0.0
     return out
 
 
-def _component_edge_weight(graph: Graph, label: int) -> float:
+def _component_masses(graph: Graph) -> np.ndarray:
+    """Edge mass M of every connected component, indexed by label."""
     if graph.num_components <= 1:
-        return graph.total_weight
-    mask = graph.component_of[graph.edge_u] == label
-    return float(graph.edge_w[mask].sum())
+        return np.array([graph.total_weight])
+    return np.bincount(graph.component_of[graph.edge_u], weights=graph.edge_w,
+                       minlength=graph.num_components)
 
 
-def _component_mean(embedding: ResistiveEmbedding, graph: Graph,
-                    label: int) -> tuple[np.ndarray, float]:
-    """Stationary mean and edge mass restricted to one component."""
+def _pair_hitting_times(embedding: ResistiveEmbedding, graph: Graph,
+                        sources: np.ndarray,
+                        targets: np.ndarray) -> np.ndarray:
+    """H(u, v) = 2M <r_v - r_u, r_v - p> for arrays of same-component pairs
+    (u, v) = (sources[i], targets[i]), with the edge mass M and stationary
+    mean p of the pair's component."""
+    vecs = embedding.vectors
     if graph.num_components <= 1:
-        return embedding.mean, graph.total_weight
-    nodes = graph.component_nodes(label)
-    mass = _component_edge_weight(graph, label)
-    mean = graph.degrees[nodes] @ embedding.vectors[nodes] / (2.0 * mass)
-    return mean, mass
+        mass, mean = graph.total_weight, embedding.mean
+    else:
+        masses = _component_masses(graph)
+        labels = graph.component_of
+        weighted = sparse.csr_matrix(
+            (graph.degrees, (labels, np.arange(graph.num_nodes))),
+            shape=(graph.num_components, graph.num_nodes))
+        sums = weighted @ vecs
+        # edgeless components have no pairs; leave their mean at zero
+        means = np.divide(sums, 2.0 * masses[:, None],
+                          out=np.zeros_like(sums), where=masses[:, None] > 0)
+        comp = labels[targets]
+        mass, mean = masses[comp], means[comp]
+    ends = vecs[targets]
+    diff = ends - vecs[sources]
+    ends -= mean
+    return 2.0 * mass * np.einsum("ij,ij->i", diff, ends)
 
 
-def _hitting_from_embedding(embedding: ResistiveEmbedding, graph: Graph,
-                            u: int, v: int) -> float:
+def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
+                               u: int, v: int) -> float:
+    """Hitting time read off a resistive embedding,
+    H(u, v) = 2M <r_v - r_u, r_v - p>, with M and p taken on the pair's
+    component.
+
+    Exact for an exact embedding. For a sketched embedding it is an estimate
+    whose additive error is at most 3 * epsilon * H_max with high
+    probability.
+    """
     u = _check_node(graph, u, "u")
     v = _check_node(graph, v, "v")
     if embedding.num_nodes != graph.num_nodes:
@@ -122,29 +152,8 @@ def _hitting_from_embedding(embedding: ResistiveEmbedding, graph: Graph,
     if u == v:
         return 0.0
     _require_same_component(graph, u, v)
-    mean, mass = _component_mean(embedding, graph, int(graph.component_of[u]))
-    vec_u = embedding.vectors[u]
-    vec_v = embedding.vectors[v]
-    return 2.0 * mass * float((vec_v - vec_u) @ (vec_v - mean))
-
-
-def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
-                               u: int, v: int) -> float:
-    """Exact hitting time read off an exact embedding:
-    H(u, v) = 2M <r_v - r_u, r_v - p>."""
-    if embedding.kind != "exact":
-        raise ValueError("embedding is sketched; use approx_hitting_time, "
-                         "which reports the same formula as an estimate")
-    return _hitting_from_embedding(embedding, graph, u, v)
-
-
-def approx_hitting_time(embedding: ResistiveEmbedding, graph: Graph,
-                        u: int, v: int) -> float:
-    """Hitting-time estimate from a sketched embedding (additive error
-    bounded by 3 * epsilon * H_max with high probability)."""
-    if embedding.kind != "sketched":
-        raise ValueError("embedding is exact; use hitting_time_via_embedding")
-    return _hitting_from_embedding(embedding, graph, u, v)
+    return float(_pair_hitting_times(embedding, graph, np.array([u]),
+                                     np.array([v]))[0])
 
 
 def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
@@ -177,7 +186,7 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
     if not np.all(np.isfinite(needed)):
         raise ValueError("resistance table is incomplete on the component "
                          f"containing nodes {u} and {v}")
-    mass = _component_edge_weight(graph, label)
+    mass = float(_component_masses(graph)[label])
     pi_local = pi[nodes]
     total = float(pi_local.sum())
     if total <= 0.0:
@@ -189,51 +198,6 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
     return 0.5 * commute * (float(res[u, v]) + float(correction))
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
-    """Largest finite hitting time, exact or sampled.
-
-    Attributes:
-        value: the max (a lower bound when ``exact`` is False).
-        exact: True when every target column was computed.
-        num_targets: how many target columns went into the max.
-    """
-
-    value: float
-    exact: bool
-    num_targets: int
-
-
-def hitting_time_radius(graph: Graph, config: SolverConfig | None = None,
-                        cap: int = 2048, sample_size: int = 64,
-                        seed: int = 0) -> RadiusEstimate:
-    """Max hitting time over ordered pairs, exact up to ``cap`` nodes.
-
-    Above the cap, ``sample_size`` target nodes are drawn without replacement
-    and the result is the max over the sampled columns, flagged as a sampled
-    lower bound.
-    """
-    config = config or SolverConfig()
-    if graph.num_nodes == 0:
-        raise ValueError("empty graph has no hitting times")
-    if graph.num_nodes <= cap:
-        targets = np.arange(graph.num_nodes)
-        exact = True
-    else:
-        rng = np.random.default_rng(seed)
-        targets = rng.choice(graph.num_nodes, size=min(sample_size,
-                                                       graph.num_nodes),
-                             replace=False)
-        exact = False
-    best = 0.0
-    for t in targets:
-        column = hitting_time_exact(graph, int(t), config)
-        finite = column[np.isfinite(column)]
-        if finite.size:
-            best = max(best, float(finite.max()))
-    return RadiusEstimate(value=best, exact=exact, num_targets=len(targets))
-
-
 def _hitting_table(graph: Graph, gram: np.ndarray) -> tuple[np.ndarray, float]:
     """(hit, h_max) from an (n, n) Gram matrix G: L+ or embedding products.
 
@@ -243,11 +207,12 @@ def _hitting_table(graph: Graph, gram: np.ndarray) -> tuple[np.ndarray, float]:
     """
     n = graph.num_nodes
     hit = np.full((n, n), np.inf)
+    masses = _component_masses(graph)
     for label in range(graph.num_components):
         nodes = graph.component_nodes(label)
         if nodes.size < 2:
             continue
-        mass = _component_edge_weight(graph, label)
+        mass = masses[label]
         block = np.ix_(nodes, nodes)
         g = gram[block]
         a = g @ graph.degrees[nodes] / (2.0 * mass)
@@ -280,12 +245,11 @@ class AffinityTable:
     epsilon: float | None = None
 
     @classmethod
-    def exact(cls, graph: Graph, config: SolverConfig | None = None,
-              cap: int = 2048) -> "AffinityTable":
+    def exact(cls, graph: Graph, cap: int = 2048) -> "AffinityTable":
         """Dense exact tables in closed form from the pseudoinverse, with M
         per component: H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv)
         (Tetali 1991). Cost: one cached eigendecomposition plus O(n^2); no
-        linear solve runs, so ``config`` is unused."""
+        linear solve runs."""
         if graph.num_nodes > cap:
             raise ValueError(f"exact affinity table capped at {cap} nodes, "
                              f"graph has {graph.num_nodes}")

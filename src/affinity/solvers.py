@@ -105,13 +105,8 @@ def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
 
 
 def dense_laplacian(graph: Graph) -> np.ndarray:
-    """Dense L = D - A, assembled directly from the edge arrays."""
-    n = graph.num_nodes
-    lap = np.zeros((n, n))
-    np.add.at(lap, (graph.edge_u, graph.edge_v), -graph.edge_w)
-    np.add.at(lap, (graph.edge_v, graph.edge_u), -graph.edge_w)
-    lap[np.arange(n), np.arange(n)] = graph.degrees
-    return lap
+    """Dense copy of the cached CSR Laplacian."""
+    return laplacian_csr(graph).toarray()
 
 
 def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:

@@ -15,14 +15,12 @@ import numpy as np
 
 from .embeddings import exact_embedding, sketched_embedding
 from .graph import stationary_distribution
-from .measures import (AffinityTable, approx_hitting_time,
-                       effective_resistance_from_embedding,
+from .measures import (AffinityTable, effective_resistance_from_embedding,
                        hitting_time_via_embedding, tetali_hitting_time)
 from .oracle import (broken_cycle_resistance, counterexample_pair,
                      cycle_resistance, find_witness_graph,
                      grounded_hitting_times, random_connected_graph,
                      witness_graph)
-from .solvers import SolverConfig
 from .wl import expressivity_report
 
 SUITE_NAMES = ("identities", "jl", "ht-error", "expressivity")
@@ -61,14 +59,13 @@ def _corpus(seed: int, count: int = 12, max_nodes: int = 48):
 def suite_identities(seed: int = 0) -> list[CheckResult]:
     """Distance identity, commute identity, and triple hitting agreement on a
     small random corpus."""
-    config = SolverConfig()
     graphs = _corpus(seed)
     worst_dist = 0.0
     worst_commute = 0.0
     worst_triple = 0.0
     rng = np.random.default_rng(seed + 1)
     for graph in graphs:
-        table = AffinityTable.exact(graph, config)
+        table = AffinityTable.exact(graph)
         grounded = grounded_hitting_times(graph)
         embedding = exact_embedding(graph)
         pi = stationary_distribution(graph)
@@ -142,7 +139,8 @@ def suite_ht_error(seed: int = 0) -> list[CheckResult]:
                     u, v = rng.integers(0, graph.num_nodes, 2)
                     if u == v:
                         continue
-                    est = approx_hitting_time(sketch, graph, int(u), int(v))
+                    est = hitting_time_via_embedding(sketch, graph, int(u),
+                                                     int(v))
                     worst = max(worst, abs(est - table.hit[u, v]))
                 runs += 1
                 if worst <= bound:

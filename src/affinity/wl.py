@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .solvers import SolverConfig
 
 #: Gap-clustering tolerance used when quantizing real-valued edge measures.
 QUANTIZE_TOL = 1e-9
@@ -215,20 +214,18 @@ class ExpressivityReport:
         }
 
 
-def expressivity_report(graph: Graph, config: SolverConfig | None = None,
-                        cap: int = 2048) -> ExpressivityReport:
+def expressivity_report(graph: Graph, cap: int = 2048) -> ExpressivityReport:
     """Run plain refinement and the three affinity-augmented variants.
 
     The augmented variants color each edge by (a) its effective resistance,
     (b) the ordered pair of hitting times across it, or (c) the embedding
-    difference norm, each quantized at :data:`QUANTIZE_TOL`. Exact measures
-    only, so the graph must be oracle-scale.
+    difference norm ||r_u - r_v||, which is sqrt(Res(u, v)) for the exact
+    embedding, each quantized at :data:`QUANTIZE_TOL`. Exact measures only,
+    so the graph must be oracle-scale.
     """
-    from .embeddings import exact_embedding
     from .measures import AffinityTable
 
-    table = AffinityTable.exact(graph, config, cap)
-    embedding = exact_embedding(graph, cap)
+    table = AffinityTable.exact(graph, cap)
     eu = graph.edge_u
     ev = graph.edge_v
 
@@ -243,8 +240,7 @@ def expressivity_report(graph: Graph, config: SolverConfig | None = None,
                                  ht_ids[graph.num_edges:]])
     ht_coloring = wl_refine(graph, edge_colors=ht_colors)
 
-    diffs = embedding.vectors[eu] - embedding.vectors[ev]
-    norms = np.linalg.norm(diffs, axis=1)
+    norms = np.sqrt(table.res[eu, ev])
     emb_coloring = wl_refine(graph, edge_colors=quantize_edge_values(norms))
 
     variants = {}

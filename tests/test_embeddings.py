@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from affinity.embeddings import (embedding_mean, exact_embedding, jl_dimension,
+from affinity.embeddings import (exact_embedding, jl_dimension,
                                  random_rotation, rotate_embedding,
                                  sketched_embedding)
-from affinity.graph import build_graph, stationary_distribution
+from affinity.graph import build_graph
 from affinity.measures import (effective_resistance,
                                effective_resistance_from_embedding)
 from affinity.oracle import build_cycle, random_connected_graph
@@ -53,15 +53,6 @@ def test_exact_embedding_mean_zero_on_regular_graph():
     g = build_cycle(8)  # 2-regular: stationary mean must vanish
     emb = exact_embedding(g)
     assert np.max(np.abs(emb.mean)) <= 1e-12
-
-
-def test_embedding_mean_recomputation_matches():
-    g = random_connected_graph(20, 3.0, (0.5, 2.0), seed=1)
-    emb = exact_embedding(g)
-    pi = stationary_distribution(g)
-    assert np.allclose(embedding_mean(emb, pi), emb.mean, atol=1e-15)
-    with pytest.raises(ValueError):
-        embedding_mean(emb, np.ones(3))
 
 
 def test_sketched_embedding_dimension_and_metadata():

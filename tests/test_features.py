@@ -81,12 +81,11 @@ def test_assemble_validation():
 
 
 def test_disconnected_graph_features_match_components():
-    solo = _path3()
-    fs_solo = assemble_features(solo, ["edge_ht"])
+    # two disjoint 3-paths: each keeps the standalone path's hitting times
     twin = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     fs_twin = assemble_features(twin, ["edge_ht"])
-    assert np.allclose(fs_twin.edge_ht[:2], fs_solo.edge_ht, atol=1e-9)
-    assert np.allclose(fs_twin.edge_ht[2:], fs_solo.edge_ht, atol=1e-9)
+    path_ht = [[1.0, 3.0], [3.0, 1.0]]
+    assert np.allclose(fs_twin.edge_ht, path_ht + path_ht, atol=1e-9)
 
 
 def test_rotation_preserves_distance_families():

@@ -1,4 +1,4 @@
-"""Graph construction, validation, parsing, and the matrix-free Laplacian."""
+"""Graph construction, validation, parsing, and the Laplacian."""
 
 import json
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from affinity.graph import (CrossComponentError, GraphInputError,
-                            apply_laplacian, build_graph, disjoint_union,
-                            graph_from_edgelist, graph_from_json,
-                            graph_to_json_dict, load_graph,
+                            build_graph, disjoint_union, graph_from_edgelist,
+                            graph_from_json, graph_to_json_dict, load_graph,
                             stationary_distribution)
-from affinity.solvers import dense_laplacian
+from affinity.solvers import dense_laplacian, laplacian_csr
 
 
 def test_triangle_basics():
@@ -94,18 +93,10 @@ def test_adjacency_round_trip():
     assert pairs == {0: 2.0, 2: 1.0, 3: 4.0}
 
 
-def test_apply_laplacian_matches_dense(corpus_small):
-    for g in corpus_small[:8]:
-        lap = dense_laplacian(g)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(g.num_nodes)
-        assert np.allclose(apply_laplacian(g, x), lap @ x, atol=1e-12)
-
-
 def test_apply_laplacian_hand_value():
     g = build_graph(3, [(0, 1), (1, 2)])
     # L (1,0,0) = first column of L = (1, -1, 0)
-    assert np.allclose(apply_laplacian(g, np.array([1.0, 0, 0])), [1, -1, 0])
+    assert np.allclose(laplacian_csr(g) @ np.array([1.0, 0, 0]), [1, -1, 0])
 
 
 def test_laplacian_psd_on_corpus(corpus_small):
@@ -116,7 +107,7 @@ def test_laplacian_psd_on_corpus(corpus_small):
 
 def test_constant_vector_in_nullspace(corpus_small):
     for g in corpus_small[:6]:
-        assert np.allclose(apply_laplacian(g, np.ones(g.num_nodes)), 0,
+        assert np.allclose(laplacian_csr(g) @ np.ones(g.num_nodes), 0,
                            atol=1e-12)
 
 

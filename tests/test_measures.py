@@ -1,15 +1,17 @@
 """Effective resistances, hitting/commute times, and the affinity tables."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import affinity.measures as measures
 from affinity.embeddings import exact_embedding, sketched_embedding
+from affinity.features import assemble_features
 from affinity.graph import CrossComponentError, build_graph, \
     disjoint_union, stationary_distribution
-from affinity.measures import (AffinityTable, approx_hitting_time,
-                               commute_time, effective_resistance,
-                               hitting_time_exact, hitting_time_radius,
+from affinity.measures import (AffinityTable, commute_time,
+                               effective_resistance, hitting_time_exact,
                                hitting_time_via_embedding,
                                tetali_hitting_time)
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
@@ -110,24 +112,12 @@ def test_embedding_hitting_matches_system(corpus_small):
             assert abs(h_sys - h_emb) <= 1e-6 * max(1.0, h_sys)
 
 
-def test_embedding_hitting_kind_checks():
-    g = build_path(4)
-    exact = exact_embedding(g)
-    sketch = sketched_embedding(g, 0.5, seed=0)
-    with pytest.raises(ValueError, match="approx_hitting_time"):
-        hitting_time_via_embedding(sketch, g, 0, 1)
-    with pytest.raises(ValueError, match="hitting_time_via_embedding"):
-        approx_hitting_time(exact, g, 0, 1)
-
-
 def test_hitting_on_disconnected_uses_component_mass():
-    # two disjoint copies: per-component values must match the standalone ones
-    path = build_path(3)
+    # two disjoint 3-paths: each keeps the standalone H(end, end) = 4
     g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     emb = exact_embedding(g)
-    expected = hitting_time_via_embedding(exact_embedding(path), path, 0, 2)
-    assert abs(hitting_time_via_embedding(emb, g, 0, 2) - expected) <= 1e-9
-    assert abs(hitting_time_via_embedding(emb, g, 3, 5) - expected) <= 1e-9
+    assert abs(hitting_time_via_embedding(emb, g, 0, 2) - 4.0) <= 1e-9
+    assert abs(hitting_time_via_embedding(emb, g, 3, 5) - 4.0) <= 1e-9
     with pytest.raises(CrossComponentError):
         hitting_time_via_embedding(emb, g, 0, 5)
 
@@ -170,14 +160,19 @@ def test_affinity_table_cross_component_entries():
     assert np.isfinite(table.hit[0, 1])
 
 
-def test_affinity_table_exact_matches_grounded_oracle_across_components():
-    # nodes 0-5: weighted graph; 6-9: unit 4-cycle; 10: isolated
+def _three_components():
+    """Nodes 0-5: weighted graph; 6-9: unit 4-cycle; 10: isolated."""
     heavy = random_connected_graph(6, 3.0, (0.5, 3.0), seed=11)
     cycle = build_cycle(4)
     g, _ = disjoint_union(heavy, cycle)
     g, _ = disjoint_union(g, build_graph(1, []))
     assert g.num_components == 3
     assert heavy.total_weight != cycle.total_weight
+    return g, heavy, cycle
+
+
+def test_affinity_table_exact_matches_grounded_oracle_across_components():
+    g, heavy, cycle = _three_components()
     table = AffinityTable.exact(g)
     grounded = grounded_hitting_times(g)
     same = g.component_of[:, None] == g.component_of[None, :]
@@ -252,26 +247,26 @@ def test_affinity_table_approximate_close_to_exact():
     assert approx.epsilon == 0.1
     bound = 3 * 0.1 * exact.h_max
     assert np.max(np.abs(approx.hit - exact.hit)) <= bound
-    # the table agrees with the pointwise op
+    # the Gram-form table agrees with the pointwise vector form
     u, v = int(g.edge_u[0]), int(g.edge_v[0])
     assert abs(approx.hit[u, v]
-               - approx_hitting_time(sketch, g, u, v)) <= 1e-9
+               - hitting_time_via_embedding(sketch, g, u, v)) <= 1e-9
 
 
-def test_hitting_time_radius_exact_and_sampled():
-    g = build_path(3)
-    est = hitting_time_radius(g)
-    assert est.exact and est.value == pytest.approx(4.0, abs=1e-10)
-    big = random_connected_graph(64, 3.0, seed=4)
-    sampled = hitting_time_radius(big, cap=32, sample_size=8, seed=0)
-    full = hitting_time_radius(big)
-    assert not sampled.exact
-    assert sampled.num_targets == 8
-    assert sampled.value <= full.value + 1e-9  # lower bound
-
-
-def test_hitting_radius_is_max_over_ordered_pairs():
-    g = random_connected_graph(24, 3.0, (0.5, 2.0), seed=5)
-    table = AffinityTable.exact(g)
-    est = hitting_time_radius(g)
-    assert est.value == pytest.approx(table.h_max, rel=1e-9)
+def test_embedding_hitting_times_match_grounded_oracle_across_components():
+    g, _, _ = _three_components()
+    grounded = grounded_hitting_times(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge_ht = assemble_features(g, ["edge_ht"]).edge_ht
+        emb = exact_embedding(g)
+        pairs = [(u, v) for u in range(g.num_nodes) for v in range(g.num_nodes)
+                 if u != v and g.same_component(u, v)]
+        pointwise = [hitting_time_via_embedding(emb, g, u, v)
+                     for u, v in pairs]
+    assert np.allclose(edge_ht[:, 0], grounded[g.edge_u, g.edge_v],
+                       rtol=1e-8, atol=0)
+    assert np.allclose(edge_ht[:, 1], grounded[g.edge_v, g.edge_u],
+                       rtol=1e-8, atol=0)
+    want = [grounded[u, v] for u, v in pairs]
+    assert np.allclose(pointwise, want, rtol=1e-8, atol=0)
