@@ -7,6 +7,10 @@ The sketched variant compresses the m-dimensional rows with a dense Gaussian
 projection applied implicitly: row i of the sketch is L+ B^T C^(1/2) g_i / sqrt(k)
 for a standard normal g_i, which needs one Laplacian solve per row and never
 materializes the projection matrix.
+
+:func:`random_rotation` returns a plain (dim, dim) rotation array; it is
+applied to feature sets by :func:`affinity.features.augment_with_rotation`,
+the package's one rotation path.
 """
 
 from __future__ import annotations
@@ -51,18 +55,6 @@ class ResistiveEmbedding:
         return int(self.vectors.shape[1])
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Orthogonal matrix with determinant +1 plus the seed that produced it."""
-
-    matrix: np.ndarray
-    seed: int
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def jl_dimension(num_nodes: int, num_edges: int, epsilon: float,
                  jl_constant: float = 4.0) -> int:
     """Sketch dimension k = ceil(c * ln(m * n) / epsilon^2), at least 1."""
@@ -87,15 +79,16 @@ def _incidence_with_conductance(graph: Graph) -> sparse.csr_matrix:
                              shape=(m, graph.num_nodes)).tocsr()
 
 
-def exact_embedding(graph: Graph, cap: int = 2048) -> ResistiveEmbedding:
+def exact_embedding(graph: Graph) -> ResistiveEmbedding:
     """Dense m-dimensional resistive embedding via the pseudoinverse.
 
     Row v is C^(1/2) B L+ 1_v. Squared row distances equal effective
-    resistances exactly (up to the pseudoinverse's own rounding).
+    resistances exactly (up to the pseudoinverse's own rounding). The graph
+    must be within the pseudoinverse's node cap.
     """
-    pinv = dense_pseudoinverse(graph, cap=cap)
+    pinv = dense_pseudoinverse(graph)
     scaled_incidence = _incidence_with_conductance(graph)
-    vectors = np.ascontiguousarray((scaled_incidence @ pinv.matrix).T)
+    vectors = np.ascontiguousarray((scaled_incidence @ pinv).T)
     mean = _stationary_mean(graph, vectors)
     return ResistiveEmbedding(vectors=vectors, kind="exact", mean=mean)
 
@@ -165,9 +158,10 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
                               jl_constant=float(jl_constant))
 
 
-def random_rotation(dim: int, seed: int) -> RotationMatrix:
-    """Haar-ish random rotation: QR of a Gaussian matrix, signs fixed so R has
-    a positive diagonal, then one column flipped if needed to land in SO(dim)."""
+def random_rotation(dim: int, seed: int) -> np.ndarray:
+    """(dim, dim) Haar-ish random rotation: QR of a Gaussian matrix, signs
+    fixed so R has a positive diagonal, then one column flipped if needed to
+    land in SO(dim)."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim!r}")
     rng = np.random.default_rng(seed)
@@ -178,21 +172,4 @@ def random_rotation(dim: int, seed: int) -> RotationMatrix:
     q = q * signs
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
-    return RotationMatrix(matrix=q, seed=int(seed))
-
-
-def rotate_embedding(embedding: ResistiveEmbedding,
-                     rotation: RotationMatrix) -> ResistiveEmbedding:
-    """Apply an orthogonal map to every row (and the mean). Distances, and
-    therefore every affinity measure read off the embedding, are unchanged."""
-    if rotation.dim != embedding.dim:
-        raise ValueError(f"rotation is {rotation.dim}-dimensional, embedding "
-                         f"is {embedding.dim}-dimensional")
-    return ResistiveEmbedding(
-        vectors=embedding.vectors @ rotation.matrix.T,
-        kind=embedding.kind,
-        mean=embedding.mean @ rotation.matrix.T,
-        epsilon=embedding.epsilon,
-        seed=embedding.seed,
-        jl_constant=embedding.jl_constant,
-    )
+    return q

@@ -70,12 +70,12 @@ def graph_digest(graph: Graph) -> str:
 
 def assemble_features(graph: Graph, families, epsilon: float | None = None,
                       seed: int = 0, config: SolverConfig | None = None,
-                      jl_constant: float = 4.0,
-                      cap: int = 2048) -> FeatureSet:
+                      jl_constant: float = 4.0) -> FeatureSet:
     """Compute the requested feature families from a single embedding.
 
-    With ``epsilon`` None the exact embedding is used (graph must be at most
-    ``cap`` nodes); otherwise a sketched embedding with the given seed.
+    With ``epsilon`` None the exact embedding is used (graph must be within
+    the pseudoinverse's node cap); otherwise a sketched embedding with the
+    given seed.
 
     Args:
         families: iterable drawn from ``FAMILIES``.
@@ -83,7 +83,6 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         seed: sketch seed (ignored on the exact path).
         config: solver settings.
         jl_constant: oversampling constant for the sketch dimension.
-        cap: node-count cap for the exact path.
     """
     requested = list(dict.fromkeys(families))
     if not requested:
@@ -94,18 +93,15 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     config = config or SolverConfig()
 
     if epsilon is None:
-        if graph.num_nodes > cap:
-            raise ValueError(
-                f"exact features capped at {cap} nodes (graph has "
-                f"{graph.num_nodes}); pass epsilon to sketch instead")
-        embedding = exact_embedding(graph, cap=cap)
+        embedding = exact_embedding(graph)
     else:
         embedding = sketched_embedding(graph, epsilon, seed, config,
                                        jl_constant)
 
-    diffs = (embedding.vectors[graph.edge_u]
-             - embedding.vectors[graph.edge_v])
     arrays: dict[str, np.ndarray] = {}
+    if "edge_er" in requested or "edge_embedding" in requested:
+        diffs = (embedding.vectors[graph.edge_u]
+                 - embedding.vectors[graph.edge_v])
     if "edge_er" in requested:
         arrays["edge_er"] = np.einsum("ij,ij->i", diffs, diffs)
     if "edge_ht" in requested:
@@ -157,9 +153,9 @@ def augment_with_rotation(features: FeatureSet, rotation_seed: int) -> FeatureSe
     rotation = random_rotation(target.shape[1], rotation_seed)
     updates: dict = {}
     if features.node_embedding is not None:
-        updates["node_embedding"] = features.node_embedding @ rotation.matrix.T
+        updates["node_embedding"] = features.node_embedding @ rotation.T
     if features.edge_embedding is not None:
-        updates["edge_embedding"] = features.edge_embedding @ rotation.matrix.T
+        updates["edge_embedding"] = features.edge_embedding @ rotation.T
     manifest = dict(features.manifest)
     manifest["rotation_seeds"] = list(manifest.get("rotation_seeds", [])) \
         + [int(rotation_seed)]
@@ -180,7 +176,8 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
 
     Formats:
         json: one file holding manifest plus nested-list arrays.
-        csv: a directory with manifest.json and one CSV per family.
+        csv: a directory with manifest.json and one CSV per family, plus
+            edge_index.csv when no edge family carries the edge index.
         binary: a directory with manifest.json and one packed array file per
             family (16-byte header: magic, rows, cols, flags; then row-major
             little-endian float64).
@@ -203,7 +200,11 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
         written = [out_dir / "manifest.json"]
         written[0].write_text(json.dumps(features.manifest, indent=2,
                                          sort_keys=True) + "\n")
-        for name, arr in features.family_arrays().items():
+        arrays = features.family_arrays()
+        if not any(name.startswith("edge_") for name in arrays):
+            # no edge family carries the edge index: write it as its own table
+            arrays["edge_index"] = np.zeros((features.edge_index.shape[0], 0))
+        for name, arr in arrays.items():
             file = out_dir / f"{name}.csv"
             rows = _array_rows(arr)
             with file.open("w", newline="") as fh:
@@ -290,7 +291,10 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
         manifest = json.loads((path / "manifest.json").read_text())
         arrays: dict[str, np.ndarray] = {}
         edge_index = None
-        for name in manifest["families"]:
+        names = manifest["families"]
+        if not any(name.startswith("edge_") for name in names):
+            names = names + ["edge_index"]
+        for name in names:
             rows = []
             with (path / f"{name}.csv").open() as fh:
                 reader = csv.reader(fh)
@@ -306,8 +310,7 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
             arrays[name] = arr
             if name.startswith("edge_") and edge_index is None:
                 edge_index = np.asarray(index_rows, dtype=np.int64)
-        if edge_index is None:
-            edge_index = np.zeros((manifest["num_edges"], 2), dtype=np.int64)
+        arrays.pop("edge_index", None)
         return FeatureSet(num_nodes=manifest["num_nodes"],
                           edge_index=edge_index, manifest=manifest, **arrays)
     if fmt == "binary":

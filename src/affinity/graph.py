@@ -65,10 +65,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Neighbor ids of node u (a view into the CSR index array)."""
-        return self.nbr_indices[self.nbr_indptr[u]:self.nbr_indptr[u + 1]]
-
     def component_nodes(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.component_of == label)
 
@@ -221,21 +217,13 @@ def build_graph(num_nodes: int, edges) -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Stationary distribution of the natural random walk: pi_u = d_u / (2M)."""
-
-    pi: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.pi.shape[0])
-
-
-def stationary_distribution(graph: Graph) -> StationaryDistribution:
+def stationary_distribution(graph: Graph) -> np.ndarray:
+    """Stationary distribution of the natural random walk, the (n,) array
+    pi_u = d_u / (2M)."""
     if graph.num_nodes == 0 or graph.total_weight <= 0:
         raise GraphInputError(
             "stationary distribution needs at least one edge")
-    return StationaryDistribution(graph.degrees / (2.0 * graph.total_weight))
+    return graph.degrees / (2.0 * graph.total_weight)
 
 
 def graph_from_json(text: str | bytes | dict) -> Graph:
@@ -332,14 +320,3 @@ def graph_to_json_dict(graph: Graph) -> dict:
     edges = [[int(u), int(v), float(w)]
              for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)]
     return {"num_nodes": graph.num_nodes, "edges": edges}
-
-
-def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, int]:
-    """Stack two graphs side by side; returns (union, offset of b's nodes)."""
-    offset = a.num_nodes
-    edges_u = np.concatenate([a.edge_u, b.edge_u + offset])
-    edges_v = np.concatenate([a.edge_v, b.edge_v + offset])
-    edges_w = np.concatenate([a.edge_w, b.edge_w])
-    union = build_graph(a.num_nodes + b.num_nodes,
-                        np.column_stack([edges_u, edges_v, edges_w]))
-    return union, offset

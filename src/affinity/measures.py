@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .embeddings import ResistiveEmbedding
 from .graph import CrossComponentError, Graph
-from .solvers import SolverConfig, dense_pseudoinverse, solve_laplacian
+from .solvers import (SolverConfig, _component_sums, dense_pseudoinverse,
+                      solve_laplacian)
 
 
 def _check_node(graph: Graph, node: int, name: str) -> int:
@@ -119,15 +119,11 @@ def _pair_hitting_times(embedding: ResistiveEmbedding, graph: Graph,
         mass, mean = graph.total_weight, embedding.mean
     else:
         masses = _component_masses(graph)
-        labels = graph.component_of
-        weighted = sparse.csr_matrix(
-            (graph.degrees, (labels, np.arange(graph.num_nodes))),
-            shape=(graph.num_components, graph.num_nodes))
-        sums = weighted @ vecs
+        sums = _component_sums(graph, vecs, graph.degrees)
         # edgeless components have no pairs; leave their mean at zero
         means = np.divide(sums, 2.0 * masses[:, None],
                           out=np.zeros_like(sums), where=masses[:, None] > 0)
-        comp = labels[targets]
+        comp = graph.component_of[targets]
         mass, mean = masses[comp], means[comp]
     ends = vecs[targets]
     diff = ends - vecs[sources]
@@ -157,16 +153,15 @@ def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
 
 
 def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
-                        pi, u: int, v: int) -> float:
+                        pi: np.ndarray, u: int, v: int) -> float:
     """Tetali's identity: H(u, v) = 1/2 [K(u, v) + sum_i pi_i (K(v, i) - K(u, i))].
 
     Args:
         graph: the graph (used for component structure and edge mass).
         resistance_table: (n, n) pairwise effective resistances; entries must
             be finite within the component of u and v.
-        pi: stationary distribution over all n nodes, either an array or a
-            :class:`~affinity.graph.StationaryDistribution` (restricted to
-            the component and renormalized on disconnected graphs).
+        pi: (n,) stationary distribution over all nodes (restricted to the
+            component and renormalized on disconnected graphs).
     """
     u = _check_node(graph, u, "u")
     v = _check_node(graph, v, "v")
@@ -174,7 +169,7 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
     n = graph.num_nodes
     if res.shape != (n, n):
         raise ValueError(f"resistance table must be ({n}, {n}), got {res.shape}")
-    pi = np.asarray(getattr(pi, "pi", pi), dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (n,):
         raise ValueError(f"pi must have shape ({n},), got {pi.shape}")
     if u == v:
@@ -245,15 +240,13 @@ class AffinityTable:
     epsilon: float | None = None
 
     @classmethod
-    def exact(cls, graph: Graph, cap: int = 2048) -> "AffinityTable":
+    def exact(cls, graph: Graph) -> "AffinityTable":
         """Dense exact tables in closed form from the pseudoinverse, with M
         per component: H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv)
         (Tetali 1991). Cost: one cached eigendecomposition plus O(n^2); no
-        linear solve runs."""
-        if graph.num_nodes > cap:
-            raise ValueError(f"exact affinity table capped at {cap} nodes, "
-                             f"graph has {graph.num_nodes}")
-        pinv = dense_pseudoinverse(graph, cap=cap).matrix
+        linear solve runs. The graph must be within the pseudoinverse's node
+        cap."""
+        pinv = dense_pseudoinverse(graph)
         diag = np.diag(pinv)
         res = diag[:, None] + diag[None, :] - 2.0 * pinv
         np.fill_diagonal(res, 0.0)

@@ -125,6 +125,17 @@ def build_path(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, int]:
+    """Stack two graphs side by side; returns (union, offset of b's nodes)."""
+    offset = a.num_nodes
+    edges_u = np.concatenate([a.edge_u, b.edge_u + offset])
+    edges_v = np.concatenate([a.edge_v, b.edge_v + offset])
+    edges_w = np.concatenate([a.edge_w, b.edge_w])
+    union = build_graph(a.num_nodes + b.num_nodes,
+                        np.column_stack([edges_u, edges_v, edges_w]))
+    return union, offset
+
+
 def counterexample_pair(k: int) -> tuple[Graph, Graph]:
     """Cycle on 4k+1 nodes and the path obtained by deleting its edge
     (v_{2k}, v_{2k+1}), which sits diametrically opposite v_0.
@@ -331,7 +342,7 @@ def _matches_witness_fingerprint(graph: Graph) -> bool:
     small = [int(o) for o in np.unique(orbits) if sizes[o] == 2]
     big = [int(o) for o in np.unique(orbits) if sizes[o] == 4][0]
 
-    pinv = dense_pseudoinverse(graph).matrix
+    pinv = dense_pseudoinverse(graph)
     diag = np.diag(pinv)
 
     def edge_res(u: int, v: int) -> float:

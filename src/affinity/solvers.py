@@ -1,9 +1,11 @@
 """Laplacian linear algebra: pseudoinverse, nullspace projection, and solves.
 
-Small systems go through a dense eigendecomposition pseudoinverse; everything
-else runs block preconditioned conjugate gradient (Jacobi preconditioner)
-against a cached sparse Laplacian, with the nullspace of component indicator
-vectors projected out of the right-hand side and re-projected every iteration.
+Small systems go through a dense eigendecomposition pseudoinverse (a plain
+(n, n) array, which every exact path caps at :data:`EXACT_NODE_CAP` nodes);
+everything else runs block preconditioned conjugate gradient (Jacobi
+preconditioner) against a cached sparse Laplacian, with the nullspace of
+component indicator vectors projected out of the right-hand side and
+re-projected every iteration.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ import scipy.sparse as sparse
 
 from .graph import Graph
 
-_PINV_CACHE: "weakref.WeakKeyDictionary[Graph, DensePseudoinverse]" = \
+_PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
     weakref.WeakKeyDictionary()
 _CSR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csr_matrix]" = \
     weakref.WeakKeyDictionary()
 
 #: Relative eigenvalue cutoff below which spectrum entries count as zero.
 PINV_RCOND = 1e-10
+
+#: Node count above which the exact (dense pseudoinverse) paths refuse a graph.
+EXACT_NODE_CAP = 2048
 
 
 class SolverConvergenceError(RuntimeError):
@@ -74,21 +79,6 @@ class SolverConfig:
         return int(10 * math.sqrt(max(n, 1))) + 200
 
 
-@dataclass(frozen=True)
-class DensePseudoinverse:
-    """Dense Moore-Penrose pseudoinverse of a graph Laplacian.
-
-    Attributes:
-        matrix: (n, n) symmetric pseudoinverse.
-        cutoff: absolute eigenvalue cutoff that was applied.
-        num_zero_eigenvalues: how many eigenvalues were treated as zero.
-    """
-
-    matrix: np.ndarray
-    cutoff: float
-    num_zero_eigenvalues: int
-
-
 def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
     """Sparse CSR Laplacian L = D - A, cached per graph instance."""
     cached = _CSR_CACHE.get(graph)
@@ -109,6 +99,15 @@ def dense_laplacian(graph: Graph) -> np.ndarray:
     return laplacian_csr(graph).toarray()
 
 
+def _component_sums(graph: Graph, mat: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Per-component sums of the node-weighted rows of mat, summed in node
+    order by one (components x n) indicator product."""
+    n = graph.num_nodes
+    return sparse.csr_matrix((weights, (graph.component_of, np.arange(n))),
+                             shape=(graph.num_components, n)) @ mat
+
+
 def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     """Subtract the per-component mean from b, columnwise.
 
@@ -127,16 +126,14 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     else:
         comp = graph.component_of
         counts = np.bincount(comp, minlength=graph.num_components).astype(float)
-        means = np.empty((graph.num_components, mat.shape[1]))
-        for j in range(mat.shape[1]):
-            means[:, j] = np.bincount(comp, weights=mat[:, j],
-                                      minlength=graph.num_components) / counts
-        out = mat - means[comp]
+        sums = _component_sums(graph, mat, np.ones(graph.num_nodes))
+        out = mat - (sums / counts[:, None])[comp]
     return out[:, 0] if single else out
 
 
-def dense_pseudoinverse(graph: Graph, cap: int = 2048) -> DensePseudoinverse:
-    """Eigendecomposition pseudoinverse of the Laplacian.
+def dense_pseudoinverse(graph: Graph, cap: int = EXACT_NODE_CAP) -> np.ndarray:
+    """Eigendecomposition pseudoinverse of the Laplacian, as an (n, n)
+    symmetric array cached per graph instance.
 
     Eigenvalues at or below ``PINV_RCOND * lambda_max`` are zeroed; the count
     of zeroed eigenvalues must equal the number of connected components.
@@ -146,53 +143,39 @@ def dense_pseudoinverse(graph: Graph, cap: int = 2048) -> DensePseudoinverse:
         PseudoinverseRankError: if the numeric nullspace dimension disagrees
             with the component count.
     """
-    if graph.num_nodes > cap:
-        raise ValueError(f"dense pseudoinverse capped at {cap} nodes, "
-                         f"graph has {graph.num_nodes}")
+    n = graph.num_nodes
+    if n > cap:
+        raise ValueError(f"exact computation capped at {cap} nodes (graph has "
+                         f"{n}); pass epsilon to sketch instead")
     cached = _PINV_CACHE.get(graph)
     if cached is not None:
         return cached
-    n = graph.num_nodes
-    if n == 0:
-        result = DensePseudoinverse(np.zeros((0, 0)), 0.0, 0)
-        _PINV_CACHE[graph] = result
-        return result
     eigvals, eigvecs = np.linalg.eigh(dense_laplacian(graph))
-    lam_max = float(eigvals[-1])
+    lam_max = float(eigvals[-1]) if n else 0.0
     if lam_max <= 0.0:
         # no edges at all: L = 0 and the pseudoinverse is 0
         if graph.num_components != n:
             raise PseudoinverseRankError(
                 f"zero Laplacian but {graph.num_components} components")
-        result = DensePseudoinverse(np.zeros((n, n)), 0.0, n)
-        _PINV_CACHE[graph] = result
-        return result
-    cutoff = PINV_RCOND * lam_max
-    zero = eigvals <= cutoff
-    num_zero = int(zero.sum())
-    if num_zero != graph.num_components:
-        raise PseudoinverseRankError(
-            f"{num_zero} eigenvalues under cutoff {cutoff:.3e} but graph has "
-            f"{graph.num_components} connected components")
-    inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
-    pinv = (eigvecs * inv) @ eigvecs.T
-    pinv = 0.5 * (pinv + pinv.T)
-    result = DensePseudoinverse(pinv, float(cutoff), num_zero)
-    _PINV_CACHE[graph] = result
-    return result
-
-
-def _dense_pinv_matrix(graph: Graph) -> np.ndarray:
-    """Uncapped pseudoinverse matrix for internal solve paths."""
-    cached = _PINV_CACHE.get(graph)
-    if cached is not None:
-        return cached.matrix
-    return dense_pseudoinverse(graph, cap=graph.num_nodes).matrix
+        pinv = np.zeros((n, n))
+    else:
+        cutoff = PINV_RCOND * lam_max
+        zero = eigvals <= cutoff
+        num_zero = int(zero.sum())
+        if num_zero != graph.num_components:
+            raise PseudoinverseRankError(
+                f"{num_zero} eigenvalues under cutoff {cutoff:.3e} but graph "
+                f"has {graph.num_components} connected components")
+        inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
+        pinv = (eigvecs * inv) @ eigvecs.T
+        pinv = 0.5 * (pinv + pinv.T)
+    _PINV_CACHE[graph] = pinv
+    return pinv
 
 
 def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rel_tolerance: float, max_iterations: int,
-        project=None) -> tuple[np.ndarray, int]:
+        project) -> tuple[np.ndarray, int]:
     """Block preconditioned conjugate gradient with per-column convergence.
 
     Each right-hand-side column converges (and freezes) independently, so
@@ -205,8 +188,8 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rhs: (n, k) right-hand sides.
         rel_tolerance: per-column relative residual target.
         max_iterations: iteration cap.
-        project: optional callable applied to the iterate and residual each
-            step (used to pin down the Laplacian nullspace).
+        project: callable applied to the iterate and residual each step
+            (used to pin down the Laplacian nullspace).
 
     Returns:
         (solution block, iterations used).
@@ -252,9 +235,8 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=pap > 0)
         x += p * alpha
         r -= ap * alpha
-        if project is not None:
-            x = project(x)
-            r = project(r)
+        x = project(x)
+        r = project(r)
         z = precond_diag_inv[:, None] * r
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = rz_new / rz
@@ -295,7 +277,8 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     projected = project_out_nullspace(graph, mat)
     n = graph.num_nodes
     if n < config.dense_threshold:
-        x = _dense_pinv_matrix(graph) @ projected
+        # uncapped: a dense_threshold above the cap is the user's choice
+        x = dense_pseudoinverse(graph, cap=n) @ projected
     else:
         lap = laplacian_csr(graph)
         safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)

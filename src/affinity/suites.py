@@ -83,7 +83,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
             h_sys = float(grounded[u, v])
             h_tab = float(table.hit[u, v])
             h_emb = hitting_time_via_embedding(embedding, graph, u, v)
-            h_tet = tetali_hitting_time(graph, table.res, pi.pi, u, v)
+            h_tet = tetali_hitting_time(graph, table.res, pi, u, v)
             scale = max(1.0, abs(h_sys))
             worst_triple = max(worst_triple,
                                abs(h_tab - h_sys) / scale,

@@ -214,18 +214,18 @@ class ExpressivityReport:
         }
 
 
-def expressivity_report(graph: Graph, cap: int = 2048) -> ExpressivityReport:
+def expressivity_report(graph: Graph) -> ExpressivityReport:
     """Run plain refinement and the three affinity-augmented variants.
 
     The augmented variants color each edge by (a) its effective resistance,
     (b) the ordered pair of hitting times across it, or (c) the embedding
     difference norm ||r_u - r_v||, which is sqrt(Res(u, v)) for the exact
     embedding, each quantized at :data:`QUANTIZE_TOL`. Exact measures only,
-    so the graph must be oracle-scale.
+    so the graph must be within the pseudoinverse's node cap.
     """
     from .measures import AffinityTable
 
-    table = AffinityTable.exact(graph, cap)
+    table = AffinityTable.exact(graph)
     eu = graph.edge_u
     ev = graph.edge_v
 

@@ -7,6 +7,7 @@ passing tests too). The large-scale timing and memory checks sit at the end
 of the file because they dominate the wall clock.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -42,7 +43,7 @@ def _first_seen(labels) -> np.ndarray:
 
 
 def _resistance_table(graph) -> np.ndarray:
-    pinv = af.dense_pseudoinverse(graph).matrix
+    pinv = af.dense_pseudoinverse(graph)
     diag = np.diag(pinv)
     return diag[:, None] + diag[None, :] - 2.0 * pinv
 
@@ -126,7 +127,7 @@ def test_three_hitting_time_routes_agree(corpus100, exact_tables,
                                        exact_embeddings, grounded_tables):
         via_embedding = AffinityTable.approximate(emb, g).hit
         commute = 2.0 * g.total_weight * table.res
-        skew = commute @ af.stationary_distribution(g).pi
+        skew = commute @ af.stationary_distribution(g)
         folded = 0.5 * (commute + skew[None, :] - skew[:, None])
         np.fill_diagonal(folded, 0.0)
         worst = max(worst,
@@ -137,7 +138,7 @@ def test_three_hitting_time_routes_agree(corpus100, exact_tables,
 
     g, table, emb = corpus100[13], exact_tables[13], exact_embeddings[13]
     grounded = grounded_tables[13]
-    pi = af.stationary_distribution(g).pi
+    pi = af.stationary_distribution(g)
     rng = np.random.default_rng(3)
     for u, v in rng.integers(0, g.num_nodes, size=(4, 2)):
         if u == v:
@@ -261,6 +262,7 @@ def sketch_corpus():
     return graphs
 
 
+@pytest.mark.slow
 def test_sketched_tables_meet_error_bounds(sketch_corpus):
     """Sketched hitting tables land within 3 * eps * H_max in at least 95%
     of runs per eps, and every edge resistance estimate from the same
@@ -348,10 +350,12 @@ def test_rotation_invariance_of_derived_measures():
     worst_value = 0.0
     for seed in range(20):
         for embedding, dim in ((emb, emb.dim), (sk, sk.dim)):
-            rotation = af.random_rotation(dim, seed=seed)
-            eye_gap = rotation.matrix.T @ rotation.matrix - np.eye(dim)
+            rot = af.random_rotation(dim, seed=seed)
+            eye_gap = rot.T @ rot - np.eye(dim)
             worst_orth = max(worst_orth, float(np.max(np.abs(eye_gap))))
-            rotated = af.rotate_embedding(embedding, rotation)
+            rotated = dataclasses.replace(embedding,
+                                          vectors=embedding.vectors @ rot.T,
+                                          mean=embedding.mean @ rot.T)
             if embedding is emb:
                 gram = rotated.vectors @ rotated.vectors.T
                 s = np.diag(gram)
@@ -410,6 +414,7 @@ def _sparse_instance(n: int, m: int, seed: int):
     return af.random_connected_graph(n, 2.0 * m / n, seed=seed)
 
 
+@pytest.mark.slow
 def test_sketch_scaling_time_and_memory():
     """Sketching 100k-node graphs stays inside the advertised wall-clock
     budget, doubling the edge count less than triples the time, and the

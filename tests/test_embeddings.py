@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from affinity.embeddings import (exact_embedding, jl_dimension,
-                                 random_rotation, rotate_embedding,
-                                 sketched_embedding)
+                                 random_rotation, sketched_embedding)
 from affinity.graph import build_graph
 from affinity.measures import (effective_resistance,
                                effective_resistance_from_embedding)
@@ -128,34 +127,14 @@ def test_sketch_respects_solver_config_tightening():
 def test_random_rotation_properties():
     for seed in range(5):
         rot = random_rotation(6, seed)
-        eye = rot.matrix.T @ rot.matrix
+        eye = rot.T @ rot
         assert np.max(np.abs(eye - np.eye(6))) <= 1e-10
-        assert abs(np.linalg.det(rot.matrix) - 1.0) <= 1e-10
-    assert np.array_equal(random_rotation(6, 3).matrix,
-                          random_rotation(6, 3).matrix)
+        assert abs(np.linalg.det(rot) - 1.0) <= 1e-10
+    assert np.array_equal(random_rotation(6, 3), random_rotation(6, 3))
     with pytest.raises(ValueError):
         random_rotation(0, 1)
 
 
 def test_rotation_dim_one():
-    rot = random_rotation(1, 0)
-    assert np.allclose(rot.matrix, [[1.0]])
+    assert np.allclose(random_rotation(1, 0), [[1.0]])
 
-
-def test_rotate_embedding_preserves_distances():
-    g = random_connected_graph(16, 3.0, (0.5, 2.0), seed=9)
-    emb = exact_embedding(g)
-    rot = random_rotation(emb.dim, 4)
-    rotated = rotate_embedding(emb, rot)
-    for u, v in [(0, 1), (3, 7), (2, 15)]:
-        before = effective_resistance_from_embedding(emb, u, v)
-        after = effective_resistance_from_embedding(rotated, u, v)
-        assert abs(before - after) <= 1e-9
-    assert np.allclose(rotated.mean, emb.mean @ rot.matrix.T, atol=1e-15)
-
-
-def test_rotate_embedding_dim_mismatch():
-    g = build_graph(2, [(0, 1)])
-    emb = exact_embedding(g)
-    with pytest.raises(ValueError, match="dimensional"):
-        rotate_embedding(emb, random_rotation(emb.dim + 1, 0))

@@ -75,9 +75,10 @@ def test_assemble_validation():
         assemble_features(g, ["nope"])
     with pytest.raises(ValueError, match="no feature"):
         assemble_features(g, [])
-    big = random_connected_graph(40, 3.0, seed=5)
-    with pytest.raises(ValueError, match="epsilon"):
-        assemble_features(big, ["edge_er"], cap=16)
+    # one node over the exact cap; the cap is checked before any eigh
+    big = build_graph(2049, [(i, i + 1) for i in range(2048)])
+    with pytest.raises(ValueError, match="2048 nodes.*epsilon"):
+        assemble_features(big, ["edge_er"])
 
 
 def test_disconnected_graph_features_match_components():
@@ -121,20 +122,23 @@ def test_rotation_requires_embedding_family():
 @pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
 def test_round_trip(fmt, tmp_path):
     g = random_connected_graph(12, 3.0, (0.5, 2.0), seed=7)
-    fs = assemble_features(g, list(FAMILIES), epsilon=0.4, seed=2)
-    target = tmp_path / fmt
-    export_features(fs, fmt, target)
-    loaded = load_features(target, fmt)
-    assert loaded.manifest["graph_sha256"] == fs.manifest["graph_sha256"]
-    assert np.array_equal(loaded.edge_index, fs.edge_index)
-    for name in FAMILIES:
-        original = getattr(fs, name)
-        restored = getattr(loaded, name)
-        if fmt == "binary":
-            assert np.array_equal(restored, original), name
-        else:
-            # decimal text path: round-trip within 1e-15 relative
-            assert np.allclose(restored, original, rtol=1e-15, atol=0), name
+    # every family, and a node-only set whose export carries no edge family
+    for families in (list(FAMILIES), ["node_embedding"]):
+        fs = assemble_features(g, families, epsilon=0.4, seed=2)
+        target = tmp_path / fmt / str(len(families))
+        export_features(fs, fmt, target)
+        loaded = load_features(target, fmt)
+        assert loaded.manifest["graph_sha256"] == fs.manifest["graph_sha256"]
+        assert np.array_equal(loaded.edge_index, fs.edge_index)
+        for name in families:
+            original = getattr(fs, name)
+            restored = getattr(loaded, name)
+            if fmt == "binary":
+                assert np.array_equal(restored, original), name
+            else:
+                # decimal text path: round-trip within 1e-15 relative
+                assert np.allclose(restored, original, rtol=1e-15,
+                                   atol=0), name
 
 
 def test_json_text_round_trip_is_exact():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from affinity.graph import (CrossComponentError, GraphInputError,
-                            build_graph, disjoint_union, graph_from_edgelist,
-                            graph_from_json, graph_to_json_dict, load_graph,
+                            build_graph, graph_from_edgelist, graph_from_json,
+                            graph_to_json_dict, load_graph,
                             stationary_distribution)
+from affinity.oracle import disjoint_union
 from affinity.solvers import dense_laplacian, laplacian_csr
 
 
@@ -84,8 +85,7 @@ def test_components_two_islands():
 
 def test_adjacency_round_trip():
     g = build_graph(4, [(0, 1, 2.0), (1, 2, 1.0), (1, 3, 4.0)])
-    assert sorted(g.neighbors(1).tolist()) == [0, 2, 3]
-    assert g.neighbors(0).tolist() == [1]
+    assert g.nbr_indices[g.nbr_indptr[0]:g.nbr_indptr[1]].tolist() == [1]
     # incident weights line up with neighbor ids
     lo, hi = g.nbr_indptr[1], g.nbr_indptr[2]
     pairs = dict(zip(g.nbr_indices[lo:hi].tolist(),
@@ -114,13 +114,13 @@ def test_constant_vector_in_nullspace(corpus_small):
 def test_stationary_distribution_path():
     g = build_graph(3, [(0, 1), (1, 2)])
     pi = stationary_distribution(g)
-    assert np.allclose(pi.pi, [0.25, 0.5, 0.25])
-    assert abs(pi.pi.sum() - 1.0) <= 1e-12
+    assert np.allclose(pi, [0.25, 0.5, 0.25])
+    assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 def test_stationary_distribution_sums_to_one(corpus_small):
     for g in corpus_small:
-        assert abs(stationary_distribution(g).pi.sum() - 1.0) <= 1e-12
+        assert abs(stationary_distribution(g).sum() - 1.0) <= 1e-12
 
 
 def test_stationary_distribution_needs_edges():

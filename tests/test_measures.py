@@ -9,14 +9,14 @@ import affinity.measures as measures
 from affinity.embeddings import exact_embedding, sketched_embedding
 from affinity.features import assemble_features
 from affinity.graph import CrossComponentError, build_graph, \
-    disjoint_union, stationary_distribution
+    stationary_distribution
 from affinity.measures import (AffinityTable, commute_time,
                                effective_resistance, hitting_time_exact,
                                hitting_time_via_embedding,
                                tetali_hitting_time)
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
-                             grounded_hitting_times, random_connected_graph,
-                             spd_bellman_ford)
+                             disjoint_union, grounded_hitting_times,
+                             random_connected_graph, spd_bellman_ford)
 from affinity.solvers import SolverConfig
 
 
@@ -125,7 +125,7 @@ def test_hitting_on_disconnected_uses_component_mass():
 def test_tetali_identity_on_path():
     g = build_path(3)
     table = AffinityTable.exact(g)
-    pi = stationary_distribution(g).pi
+    pi = stationary_distribution(g)
     assert abs(tetali_hitting_time(g, table.res, pi, 0, 2) - 4.0) <= 1e-10
     assert abs(tetali_hitting_time(g, table.res, pi, 1, 0) - 3.0) <= 1e-10
 
@@ -136,10 +136,10 @@ def test_tetali_rejects_incomplete_table():
     bad = table.res.copy()
     bad[0, 1] = np.inf
     with pytest.raises(ValueError, match="incomplete"):
-        tetali_hitting_time(g, bad, stationary_distribution(g).pi, 0, 2)
+        tetali_hitting_time(g, bad, stationary_distribution(g), 0, 2)
     with pytest.raises(ValueError, match="must be"):
         tetali_hitting_time(g, bad[:2, :2],
-                            stationary_distribution(g).pi, 0, 1)
+                            stationary_distribution(g), 0, 1)
 
 
 def test_affinity_table_exact_path():

@@ -38,36 +38,53 @@ def test_projection_kills_component_means(corpus_small):
             assert np.allclose(out[nodes].sum(axis=0), 0.0, atol=1e-10)
 
 
+def test_projection_of_a_block_subtracts_each_component_mean():
+    # three components of different sizes plus an isolated node
+    g = build_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)])
+    block = np.random.default_rng(1).standard_normal((9, 4))
+    expected = np.empty_like(block)
+    for label in range(g.num_components):
+        nodes = g.component_nodes(label)
+        total = np.zeros(4)
+        for node in nodes:  # node order, as the projection sums
+            total = total + block[node]
+        expected[nodes] = block[nodes] - total / nodes.size
+    out = project_out_nullspace(g, block)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(out[8], np.zeros(4))
+
+
 def test_pseudoinverse_single_edge():
     g = build_graph(2, [(0, 1)])
     p = dense_pseudoinverse(g)
-    assert np.allclose(p.matrix, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
-    assert p.num_zero_eigenvalues == 1
+    assert np.allclose(p, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
 
 def test_pseudoinverse_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     expected = np.full((3, 3), -1.0 / 9.0)
     np.fill_diagonal(expected, 2.0 / 9.0)
-    assert np.allclose(dense_pseudoinverse(g).matrix, expected, atol=1e-12)
+    assert np.allclose(dense_pseudoinverse(g), expected, atol=1e-12)
 
 
 def test_pseudoinverse_empty_graph():
     g = build_graph(4, [])
-    p = dense_pseudoinverse(g)
-    assert np.array_equal(p.matrix, np.zeros((4, 4)))
-    assert p.num_zero_eigenvalues == 4
+    assert np.array_equal(dense_pseudoinverse(g), np.zeros((4, 4)))
 
 
 def test_pseudoinverse_zero_count_matches_components(corpus_small):
+    # the pseudoinverse's nullspace is spanned by the component indicators
     for g in corpus_small[:8]:
-        assert dense_pseudoinverse(g).num_zero_eigenvalues == g.num_components
+        pinv = dense_pseudoinverse(g)
+        indicators = np.eye(g.num_components)[g.component_of]
+        assert np.allclose(pinv @ indicators, 0.0, atol=1e-10)
+        assert np.linalg.matrix_rank(pinv) == g.num_nodes - g.num_components
 
 
 def test_pseudoinverse_moore_penrose_identities():
     g = random_connected_graph(24, 3.0, (0.5, 2.0), seed=5)
     lap = dense_laplacian(g)
-    pinv = dense_pseudoinverse(g).matrix
+    pinv = dense_pseudoinverse(g)
     assert np.allclose(lap @ pinv @ lap, lap, atol=1e-9)
     assert np.allclose(pinv @ lap @ pinv, pinv, atol=1e-9)
     assert np.allclose(pinv, pinv.T, atol=1e-14)
@@ -75,7 +92,7 @@ def test_pseudoinverse_moore_penrose_identities():
 
 def test_pseudoinverse_cap():
     g = random_connected_graph(12, 2.5, seed=1)
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(ValueError, match="capped at 10 nodes"):
         dense_pseudoinverse(g, cap=10)
 
 
@@ -84,7 +101,7 @@ def test_solve_dense_path_matches_pinv():
     rng = np.random.default_rng(3)
     b = rng.standard_normal(30)
     x = solve_laplacian(g, b)
-    expected = dense_pseudoinverse(g).matrix @ project_out_nullspace(g, b)
+    expected = dense_pseudoinverse(g) @ project_out_nullspace(g, b)
     assert np.allclose(x, expected, atol=1e-12)
 
 

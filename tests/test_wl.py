@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from affinity.graph import build_graph, disjoint_union
+from affinity.graph import build_graph
 from affinity.oracle import (automorphism_orbits, build_cycle, build_path,
-                             counterexample_pair, witness_graph)
+                             counterexample_pair, disjoint_union,
+                             witness_graph)
 from affinity.wl import (expressivity_report, quantize_edge_values, refines,
                          wl_refine)
 
