@@ -8,9 +8,9 @@ Subcommands:
     bench              time a sketched embedding on a random graph
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
-non-convergence. The solver knobs of compute and bench can also come from
-the environment (AFFINITY_DENSE_THRESHOLD, AFFINITY_TOL, AFFINITY_MAX_ITER);
-explicit flags win over the environment.
+non-convergence. The solver settings of compute and bench are flags only
+(--dense-threshold, --tol, --max-iter), so one command line writes the same
+bytes in every shell.
 """
 
 from __future__ import annotations
@@ -50,61 +50,22 @@ _FAMILY_ALIASES = {
 }
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphInputError(f"environment variable {name}={raw!r} "
-                              f"is not an integer") from None
-
-
-def _env_float(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise GraphInputError(f"environment variable {name}={raw!r} "
-                              f"is not a number") from None
-
-
 def _solver_config(args) -> SolverConfig:
-    dense = args.dense_threshold
-    if dense is None:
-        dense = _env_int("AFFINITY_DENSE_THRESHOLD")
-    tol = args.tol
-    if tol is None:
-        tol = _env_float("AFFINITY_TOL")
-    max_iter = args.max_iter
-    if max_iter is None:
-        max_iter = _env_int("AFFINITY_MAX_ITER")
-    kwargs = {}
-    if dense is not None:
-        kwargs["dense_threshold"] = dense
-    if tol is not None:
-        kwargs["rel_tolerance"] = tol
-    if max_iter is not None:
-        kwargs["max_iterations"] = max_iter
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise GraphInputError(str(exc)) from None
+    # an out-of-range value raises ValueError, which main reports as exit 2
+    return SolverConfig(dense_threshold=args.dense_threshold,
+                        rel_tolerance=args.tol, max_iterations=args.max_iter)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dense-threshold", type=int, default=None,
+    defaults = SolverConfig()
+    parser.add_argument("--dense-threshold", type=int,
+                        default=defaults.dense_threshold,
                         help="node count below which solves go dense "
-                             "(default 512; env AFFINITY_DENSE_THRESHOLD)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="relative solver tolerance (default 1e-8; "
-                             "env AFFINITY_TOL)")
+                             "(default %(default)s)")
+    parser.add_argument("--tol", type=float, default=defaults.rel_tolerance,
+                        help="relative solver tolerance (default %(default)s)")
     parser.add_argument("--max-iter", type=int, default=None,
-                        help="PCG iteration cap (default 10*sqrt(n)+200; "
-                             "env AFFINITY_MAX_ITER)")
+                        help="PCG iteration cap (default 10*sqrt(n)+200)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,9 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="sketch distortion; omit for exact features")
     p_compute.add_argument("--seed", type=int, default=0,
                            help="sketch seed (default 0)")
-    p_compute.add_argument("--jl-constant", type=float, default=4.0,
-                           help="oversampling constant in the sketch "
-                                "dimension formula (default 4)")
     p_compute.add_argument("--rotate", type=int, default=None, metavar="SEED",
                            help="apply a seeded random rotation to "
                                 "embedding-valued families")
@@ -210,8 +168,7 @@ def _cmd_compute(args) -> int:
                 f"{', '.join(sorted(set(_FAMILY_ALIASES)))}")
         names.append(_FAMILY_ALIASES[raw])
     features = assemble_features(graph, names, epsilon=args.epsilon,
-                                 seed=args.seed, config=config,
-                                 jl_constant=args.jl_constant)
+                                 seed=args.seed, config=config)
     if args.rotate is not None:
         features = augment_with_rotation(features, args.rotate)
     written = export_features(features, args.format, args.out)

@@ -36,7 +36,6 @@ class ResistiveEmbedding:
         mean: stationary-weighted mean row, sum_u pi_u vectors[u].
         epsilon: distortion parameter of the sketch (None when exact).
         seed: sketch seed (None when exact).
-        jl_constant: oversampling constant used in the dimension formula.
     """
 
     vectors: np.ndarray
@@ -44,7 +43,6 @@ class ResistiveEmbedding:
     mean: np.ndarray
     epsilon: float | None = None
     seed: int | None = None
-    jl_constant: float | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -55,16 +53,19 @@ class ResistiveEmbedding:
         return int(self.vectors.shape[1])
 
 
-def jl_dimension(num_nodes: int, num_edges: int, epsilon: float,
-                 jl_constant: float = 4.0) -> int:
-    """Sketch dimension k = ceil(c * ln(m * n) / epsilon^2), at least 1."""
+#: Oversampling constant c of the sketch dimension; epsilon is the one
+#: accuracy setting, since c only enters through c / epsilon^2.
+JL_CONSTANT = 4.0
+
+
+def jl_dimension(num_nodes: int, num_edges: int, epsilon: float) -> int:
+    """Sketch dimension k = ceil(c * ln(m * n) / epsilon^2), at least 1,
+    with c = :data:`JL_CONSTANT`."""
     if num_nodes < 1 or num_edges < 1:
         raise ValueError("need at least one node and one edge")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    if jl_constant <= 0:
-        raise ValueError(f"jl_constant must be positive, got {jl_constant!r}")
-    k = math.ceil(jl_constant * math.log(num_edges * num_nodes) / epsilon ** 2)
+    k = math.ceil(JL_CONSTANT * math.log(num_edges * num_nodes) / epsilon ** 2)
     return max(1, k)
 
 
@@ -102,7 +103,6 @@ def _stationary_mean(graph: Graph, vectors: np.ndarray) -> np.ndarray:
 
 def sketched_embedding(graph: Graph, epsilon: float, seed: int,
                        config: SolverConfig | None = None,
-                       jl_constant: float = 4.0,
                        chunk_size: int = 128) -> ResistiveEmbedding:
     """Gaussian-sketched resistive embedding in k = O(log(mn)/eps^2) dims.
 
@@ -117,7 +117,6 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         epsilon: target distortion in (0, 1).
         seed: non-negative base seed for the Gaussian streams.
         config: solver settings (dense threshold, tolerance, iteration cap).
-        jl_constant: oversampling constant in the dimension formula.
         chunk_size: number of sketch rows solved per batch.
     """
     if graph.num_edges < 1:
@@ -126,7 +125,7 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     n = graph.num_nodes
     m = graph.num_edges
-    k = jl_dimension(n, m, epsilon, jl_constant)  # validates epsilon too
+    k = jl_dimension(n, m, epsilon)  # validates epsilon too
     config = config or SolverConfig()
     solve_config = replace(config, rel_tolerance=min(config.rel_tolerance,
                                                      epsilon / 10.0))
@@ -154,8 +153,7 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
 
     mean = _stationary_mean(graph, vectors)
     return ResistiveEmbedding(vectors=vectors, kind="sketched", mean=mean,
-                              epsilon=float(epsilon), seed=int(seed),
-                              jl_constant=float(jl_constant))
+                              epsilon=float(epsilon), seed=int(seed))
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:

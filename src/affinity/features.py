@@ -13,12 +13,13 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import exact_embedding, random_rotation, sketched_embedding
+from .embeddings import (JL_CONSTANT, exact_embedding, random_rotation,
+                         sketched_embedding)
 from .graph import Graph, GraphInputError
 from .measures import _pair_hitting_times
 from .solvers import SolverConfig
@@ -69,8 +70,8 @@ def graph_digest(graph: Graph) -> str:
 
 
 def assemble_features(graph: Graph, families, epsilon: float | None = None,
-                      seed: int = 0, config: SolverConfig | None = None,
-                      jl_constant: float = 4.0) -> FeatureSet:
+                      seed: int = 0,
+                      config: SolverConfig | None = None) -> FeatureSet:
     """Compute the requested feature families from a single embedding.
 
     With ``epsilon`` None the exact embedding is used (graph must be within
@@ -82,7 +83,6 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         epsilon: sketch distortion, or None for the exact path.
         seed: sketch seed (ignored on the exact path).
         config: solver settings.
-        jl_constant: oversampling constant for the sketch dimension.
     """
     requested = list(dict.fromkeys(families))
     if not requested:
@@ -95,8 +95,7 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     if epsilon is None:
         embedding = exact_embedding(graph)
     else:
-        embedding = sketched_embedding(graph, epsilon, seed, config,
-                                       jl_constant)
+        embedding = sketched_embedding(graph, epsilon, seed, config)
 
     arrays: dict[str, np.ndarray] = {}
     if "edge_er" in requested or "edge_embedding" in requested:
@@ -123,13 +122,9 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "embedding_dim": embedding.dim,
         "epsilon": embedding.epsilon,
         "seed": embedding.seed,
-        "jl_constant": embedding.jl_constant,
+        "jl_constant": None if epsilon is None else JL_CONSTANT,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
-        "solver": {
-            "dense_threshold": config.dense_threshold,
-            "rel_tolerance": config.rel_tolerance,
-            "max_iterations": config.max_iterations,
-        },
+        "solver": asdict(config),
         "rotation_seeds": [],
     }
     return FeatureSet(
@@ -268,6 +263,16 @@ def _read_binary_array(path: Path) -> tuple[np.ndarray, int]:
     return data.copy(), flags
 
 
+def _family_shape(name: str, manifest: dict) -> tuple[int, ...]:
+    """Shape of a family as assembled, which the text formats lose when a
+    family has no rows or no columns."""
+    rows = manifest["num_nodes"] if name == "node_embedding" \
+        else manifest["num_edges"]
+    if name == "edge_er":
+        return (rows,)
+    return (rows, 2 if name == "edge_ht" else manifest["embedding_dim"])
+
+
 def load_features(path: str | Path, fmt: str) -> FeatureSet:
     """Read back a feature set written by :func:`export_features`."""
     path = Path(path)
@@ -280,10 +285,12 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
             raise GraphInputError(f"{path}: invalid JSON: {exc}") from exc
         manifest = doc["manifest"]
         arrays = {name: np.asarray(vals, dtype=np.float64)
+                  .reshape(_family_shape(name, manifest))
                   for name, vals in doc["arrays"].items()}
         return FeatureSet(
             num_nodes=manifest["num_nodes"],
-            edge_index=np.asarray(doc["edge_index"], dtype=np.int64),
+            edge_index=np.asarray(doc["edge_index"],
+                                  dtype=np.int64).reshape(-1, 2),
             manifest=manifest,
             **arrays,
         )
@@ -298,19 +305,18 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
             rows = []
             with (path / f"{name}.csv").open() as fh:
                 reader = csv.reader(fh)
-                header = next(reader)
+                next(reader)  # header
                 skip = 2 if name.startswith("edge_") else 1
                 index_rows = []
                 for row in reader:
                     index_rows.append([int(x) for x in row[:skip]])
                     rows.append([float(x) for x in row[skip:]])
-            arr = np.asarray(rows, dtype=np.float64)
-            if name == "edge_er":
-                arr = arr[:, 0]
-            arrays[name] = arr
+            if name != "edge_index":
+                arrays[name] = np.asarray(rows, dtype=np.float64) \
+                    .reshape(_family_shape(name, manifest))
             if name.startswith("edge_") and edge_index is None:
-                edge_index = np.asarray(index_rows, dtype=np.int64)
-        arrays.pop("edge_index", None)
+                edge_index = np.asarray(index_rows,
+                                        dtype=np.int64).reshape(-1, 2)
         return FeatureSet(num_nodes=manifest["num_nodes"],
                           edge_index=edge_index, manifest=manifest, **arrays)
     if fmt == "binary":
@@ -319,9 +325,7 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
         arrays = {}
         for name in manifest["families"]:
             arr, _ = _read_binary_array(path / f"{name}.bin")
-            if name == "edge_er":
-                arr = arr[:, 0]
-            arrays[name] = arr
+            arrays[name] = arr.reshape(_family_shape(name, manifest))
         return FeatureSet(num_nodes=manifest["num_nodes"],
                           edge_index=edge_index.astype(np.int64),
                           manifest=manifest, **arrays)

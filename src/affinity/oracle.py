@@ -333,7 +333,7 @@ def _cubic_graphs_8() -> list[list[tuple[int, int]]]:
 
 def _matches_witness_fingerprint(graph: Graph) -> bool:
     """Check orbit sizes (2, 4, 2) and all five edge-class resistances."""
-    from .solvers import dense_pseudoinverse
+    from .measures import AffinityTable
 
     orbits = automorphism_orbits(graph)
     sizes = np.bincount(orbits)
@@ -342,22 +342,17 @@ def _matches_witness_fingerprint(graph: Graph) -> bool:
     small = [int(o) for o in np.unique(orbits) if sizes[o] == 2]
     big = [int(o) for o in np.unique(orbits) if sizes[o] == 4][0]
 
-    pinv = dense_pseudoinverse(graph)
-    diag = np.diag(pinv)
-
-    def edge_res(u: int, v: int) -> float:
-        return diag[u] + diag[v] - 2.0 * pinv[u, v]
-
+    res = AffinityTable.exact(graph).res
     for first, last in (small, list(reversed(small))):
         names = {first: "o1", big: "o2", last: "o3"}
         seen: dict[tuple[str, str], float] = {}
         ok = True
-        for u, v, _ in zip(graph.edge_u, graph.edge_v, graph.edge_w):
+        for u, v in zip(graph.edge_u, graph.edge_v):
             pair = tuple(sorted((names[int(orbits[u])], names[int(orbits[v])])))
             if pair not in WITNESS_EDGE_RESISTANCES:
                 ok = False
                 break
-            value = edge_res(int(u), int(v))
+            value = res[u, v]
             if abs(value - WITNESS_EDGE_RESISTANCES[pair]) > 1e-12:
                 ok = False
                 break

@@ -80,7 +80,8 @@ class SolverConfig:
 
 
 def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
-    """Sparse CSR Laplacian L = D - A, cached per graph instance."""
+    """Sparse CSR Laplacian L = D - A, cached per graph instance; its
+    arrays are read-only, since every caller shares them."""
     cached = _CSR_CACHE.get(graph)
     if cached is not None:
         return cached
@@ -90,6 +91,8 @@ def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
     cols = np.concatenate([graph.edge_v, graph.edge_u, np.arange(n)])
     vals = np.concatenate([-graph.edge_w, -graph.edge_w, graph.degrees])
     lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.setflags(write=False)
     _CSR_CACHE[graph] = lap
     return lap
 
@@ -133,7 +136,8 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
 
 def dense_pseudoinverse(graph: Graph, cap: int = EXACT_NODE_CAP) -> np.ndarray:
     """Eigendecomposition pseudoinverse of the Laplacian, as an (n, n)
-    symmetric array cached per graph instance.
+    symmetric array cached per graph instance. The array is read-only,
+    since every caller shares it; copy it before writing.
 
     Eigenvalues at or below ``PINV_RCOND * lambda_max`` are zeroed; the count
     of zeroed eigenvalues must equal the number of connected components.
@@ -169,6 +173,7 @@ def dense_pseudoinverse(graph: Graph, cap: int = EXACT_NODE_CAP) -> np.ndarray:
         inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
         pinv = (eigvecs * inv) @ eigvecs.T
         pinv = 0.5 * (pinv + pinv.T)
+    pinv.setflags(write=False)
     _PINV_CACHE[graph] = pinv
     return pinv
 

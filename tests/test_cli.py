@@ -1,8 +1,9 @@
-"""CLI subcommands, exit codes, and environment-variable config."""
+"""CLI subcommands, exit codes, and flag-only solver settings."""
 
 import json
 
 import numpy as np
+import pytest
 
 from affinity.cli import main
 
@@ -74,6 +75,16 @@ def test_compute_bad_feature_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_compute_bad_solver_value_is_exit_2(tmp_path, capsys):
+    graph_file = _write_cycle(tmp_path)
+    for flag, value in (("--tol", "2"), ("--dense-threshold", "0"),
+                        ("--max-iter", "0")):
+        code = main(["compute", "--input", str(graph_file), flag, value,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2, flag
+        assert "error" in capsys.readouterr().err
+
+
 def test_compute_solver_failure_is_exit_3(tmp_path, capsys):
     # an unreachable tolerance at a tiny iteration cap cannot converge
     graph_file = tmp_path / "g.json"
@@ -89,27 +100,32 @@ def test_compute_solver_failure_is_exit_3(tmp_path, capsys):
     assert "solver" in capsys.readouterr().err
 
 
-def test_env_vars_configure_solver(tmp_path, monkeypatch, capsys):
+def test_environment_does_not_change_compute(tmp_path, monkeypatch):
+    # the solver settings are flags only: values that would break the
+    # solve, set in the environment, leave the run and its bytes unchanged
     graph_file = _write_cycle(tmp_path)
-    monkeypatch.setenv("AFFINITY_MAX_ITER", "2")
+    args = ["compute", "--input", str(graph_file), "--features",
+            "er,ht,node-emb,edge-emb", "--epsilon", "0.5", "--seed", "1",
+            "--format", "binary"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("AFFINITY_DENSE_THRESHOLD", "2")
-    code = main(["compute", "--input", str(graph_file),
-                 "--features", "node-emb", "--epsilon", "0.5",
-                 "--out", str(tmp_path / "x.json")])
-    assert code == 3  # the env-provided cap bites
-    # explicit flag wins over the environment
-    code = main(["compute", "--input", str(graph_file),
-                 "--features", "node-emb", "--epsilon", "0.5",
-                 "--max-iter", "500", "--out", str(tmp_path / "y.json")])
-    assert code == 0
+    monkeypatch.setenv("AFFINITY_TOL", "1e-15")
+    monkeypatch.setenv("AFFINITY_MAX_ITER", "1")
+    assert main(args + ["--out", str(tmp_path / "env")]) == 0
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [f.name for f in plain] == sorted(
+        f.name for f in (tmp_path / "env").iterdir())
+    for file in plain:
+        assert file.read_bytes() == (tmp_path / "env" / file.name).read_bytes()
 
 
-def test_env_var_bad_value_is_exit_2(tmp_path, monkeypatch, capsys):
+def test_jl_constant_flag_is_exit_2(tmp_path, capsys):
     graph_file = _write_cycle(tmp_path)
-    monkeypatch.setenv("AFFINITY_TOL", "not-a-number")
-    code = main(["compute", "--input", str(graph_file),
-                 "--features", "er", "--out", str(tmp_path / "x.json")])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", str(graph_file), "--epsilon", "0.5",
+              "--jl-constant", "1", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "--jl-constant" in capsys.readouterr().err
 
 
 def test_verify_expressivity_suite(capsys):

@@ -13,9 +13,9 @@ from affinity.solvers import SolverConfig
 
 
 def test_jl_dimension_values():
-    # direct evaluation of ceil(c ln(mn) / eps^2)
-    assert jl_dimension(1000, 5000, 0.1, 4.0) == 6170
-    assert jl_dimension(2, 1, 0.5, 4.0) == 12
+    # direct evaluation of ceil(4 ln(mn) / eps^2)
+    assert jl_dimension(1000, 5000, 0.1) == 6170
+    assert jl_dimension(2, 1, 0.5) == 12
 
 
 def test_jl_dimension_validation():
@@ -25,8 +25,6 @@ def test_jl_dimension_validation():
         jl_dimension(10, 10, 1.0)
     with pytest.raises(ValueError):
         jl_dimension(0, 10, 0.5)
-    with pytest.raises(ValueError):
-        jl_dimension(10, 10, 0.5, jl_constant=0.0)
 
 
 def test_jl_dimension_monotone_in_epsilon():
@@ -61,7 +59,6 @@ def test_sketched_embedding_dimension_and_metadata():
     assert emb.dim == jl_dimension(40, g.num_edges, 0.3)
     assert emb.epsilon == 0.3
     assert emb.seed == 7
-    assert emb.jl_constant == 4.0
 
 
 def test_sketched_embedding_deterministic_bitwise():

@@ -122,17 +122,22 @@ def test_rotation_requires_embedding_family():
 @pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
 def test_round_trip(fmt, tmp_path):
     g = random_connected_graph(12, 3.0, (0.5, 2.0), seed=7)
-    # every family, and a node-only set whose export carries no edge family
-    for families in (list(FAMILIES), ["node_embedding"]):
-        fs = assemble_features(g, families, epsilon=0.4, seed=2)
-        target = tmp_path / fmt / str(len(families))
+    # every family, a node-only set whose export carries no edge family, and
+    # an exact set of a graph without edges (empty rows and columns)
+    cases = [(g, list(FAMILIES), 0.4), (g, ["node_embedding"], 0.4),
+             (build_graph(3, []), list(FAMILIES), None)]
+    for case, (graph, families, epsilon) in enumerate(cases):
+        fs = assemble_features(graph, families, epsilon=epsilon, seed=2)
+        target = tmp_path / fmt / str(case)
         export_features(fs, fmt, target)
         loaded = load_features(target, fmt)
         assert loaded.manifest["graph_sha256"] == fs.manifest["graph_sha256"]
+        assert loaded.edge_index.shape == fs.edge_index.shape
         assert np.array_equal(loaded.edge_index, fs.edge_index)
         for name in families:
             original = getattr(fs, name)
             restored = getattr(loaded, name)
+            assert restored.shape == original.shape, name
             if fmt == "binary":
                 assert np.array_equal(restored, original), name
             else:

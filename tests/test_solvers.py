@@ -8,7 +8,8 @@ from affinity.solvers import (PseudoinverseRankError, SolverConfig,
                               SolverConvergenceError, dense_laplacian,
                               dense_pseudoinverse, laplacian_csr,
                               project_out_nullspace, solve_laplacian)
-from affinity.oracle import random_connected_graph
+from affinity.measures import AffinityTable, effective_resistance
+from affinity.oracle import build_path, random_connected_graph
 
 
 def test_config_validation():
@@ -79,6 +80,20 @@ def test_pseudoinverse_zero_count_matches_components(corpus_small):
         indicators = np.eye(g.num_components)[g.component_of]
         assert np.allclose(pinv @ indicators, 0.0, atol=1e-10)
         assert np.linalg.matrix_rank(pinv) == g.num_nodes - g.num_components
+
+
+def test_cached_arrays_are_read_only():
+    # every caller shares the per-graph caches, so a write must fail
+    g = build_path(4)
+    pinv = dense_pseudoinverse(g)
+    with pytest.raises(ValueError):
+        pinv *= 2
+    lap = laplacian_csr(g)
+    for arr in (lap.data, lap.indices, lap.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert effective_resistance(g, 0, 3) == pytest.approx(3.0, abs=1e-12)
+    assert AffinityTable.exact(g).res[0, 3] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_pseudoinverse_moore_penrose_identities():
