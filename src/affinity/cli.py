@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
 non-convergence. The solver settings of compute and bench are flags only
-(--dense-threshold, --tol, --max-iter), so one command line writes the same
-bytes in every shell.
+(--tol, --max-iter), so one command line writes the same bytes in every
+shell; the graph's size picks the solve route.
 """
 
 from __future__ import annotations
@@ -52,17 +52,12 @@ _FAMILY_ALIASES = {
 
 def _solver_config(args) -> SolverConfig:
     # an out-of-range value raises ValueError, which main reports as exit 2
-    return SolverConfig(dense_threshold=args.dense_threshold,
-                        rel_tolerance=args.tol, max_iterations=args.max_iter)
+    return SolverConfig(rel_tolerance=args.tol, max_iterations=args.max_iter)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = SolverConfig()
-    parser.add_argument("--dense-threshold", type=int,
-                        default=defaults.dense_threshold,
-                        help="node count below which solves go dense "
-                             "(default %(default)s)")
-    parser.add_argument("--tol", type=float, default=defaults.rel_tolerance,
+    parser.add_argument("--tol", type=float,
+                        default=SolverConfig().rel_tolerance,
                         help="relative solver tolerance (default %(default)s)")
     parser.add_argument("--max-iter", type=int, default=None,
                         help="PCG iteration cap (default 10*sqrt(n)+200)")
@@ -248,6 +243,8 @@ def _cmd_bench(args) -> int:
     from .embeddings import sketched_embedding
 
     config = _solver_config(args)
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     avg_degree = 2.0 * args.m / args.n
     build_start = time.perf_counter()
     graph = random_connected_graph(args.n, avg_degree, seed=args.seed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 
-from .graph import Graph
+from .graph import Graph, stationary_distribution
 from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
                       solve_laplacian)
 
@@ -97,8 +97,7 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
 def _stationary_mean(graph: Graph, vectors: np.ndarray) -> np.ndarray:
     if graph.total_weight <= 0:
         return np.zeros(vectors.shape[1])
-    pi = graph.degrees / (2.0 * graph.total_weight)
-    return pi @ vectors
+    return stationary_distribution(graph) @ vectors
 
 
 def sketched_embedding(graph: Graph, epsilon: float, seed: int,
@@ -116,11 +115,14 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         graph: input graph; must have at least one edge.
         epsilon: target distortion in (0, 1).
         seed: non-negative base seed for the Gaussian streams.
-        config: solver settings (dense threshold, tolerance, iteration cap).
-        chunk_size: number of sketch rows solved per batch.
+        config: PCG settings (tolerance, iteration cap), used when the
+            graph is large enough for :func:`solve_laplacian` to run PCG.
+        chunk_size: number of sketch rows solved per batch, at least 1.
     """
     if graph.num_edges < 1:
         raise ValueError("sketched embedding needs at least one edge")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     n = graph.num_nodes

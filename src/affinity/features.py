@@ -22,7 +22,7 @@ from .embeddings import (JL_CONSTANT, exact_embedding, random_rotation,
                          sketched_embedding)
 from .graph import Graph, GraphInputError
 from .measures import _pair_hitting_times
-from .solvers import SolverConfig
+from .solvers import DENSE_SOLVE_NODES, SolverConfig
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
@@ -124,7 +124,8 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "seed": embedding.seed,
         "jl_constant": None if epsilon is None else JL_CONSTANT,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
-        "solver": asdict(config),
+        # the node count under which solves go dense, then the PCG settings
+        "solver": {"dense_threshold": DENSE_SOLVE_NODES, **asdict(config)},
         "rotation_seeds": [],
     }
     return FeatureSet(

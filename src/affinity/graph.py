@@ -186,15 +186,6 @@ def build_graph(num_nodes: int, edges) -> Graph:
     total_weight = float(edge_w.sum())
 
     m = edge_u.shape[0]
-    if num_nodes:
-        adj = sparse.coo_matrix(
-            (np.ones(2 * m), (np.concatenate([edge_u, edge_v]),
-                              np.concatenate([edge_v, edge_u]))),
-            shape=(num_nodes, num_nodes))
-        num_comp, comp = connected_components(adj.tocsr(), directed=False)
-    else:
-        num_comp, comp = 0, np.zeros(0, np.int32)
-
     src = np.concatenate([edge_u, edge_v])
     dst = np.concatenate([edge_v, edge_u])
     eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else \
@@ -203,6 +194,13 @@ def build_graph(num_nodes: int, edges) -> Graph:
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(num_nodes + 1, np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    nbr_indices = dst[order]
+    nbr_weights = np.concatenate([edge_w, edge_w])[order]
+
+    # labels are numbered by each component's lowest node
+    num_comp, comp = connected_components(
+        sparse.csr_matrix((nbr_weights, nbr_indices, indptr),
+                          shape=(num_nodes, num_nodes)), directed=False)
 
     return Graph(
         num_nodes=num_nodes,
@@ -210,8 +208,8 @@ def build_graph(num_nodes: int, edges) -> Graph:
         degrees=degrees, total_weight=total_weight,
         component_of=comp, num_components=int(num_comp),
         nbr_indptr=indptr,
-        nbr_indices=dst[order],
-        nbr_weights=np.concatenate([edge_w, edge_w])[order],
+        nbr_indices=nbr_indices,
+        nbr_weights=nbr_weights,
         nbr_edge_ids=eid[order],
         nbr_forward=fwd[order],
     )

@@ -1,11 +1,12 @@
 """Laplacian linear algebra: pseudoinverse, nullspace projection, and solves.
 
-Small systems go through a dense eigendecomposition pseudoinverse (a plain
-(n, n) array, which every exact path caps at :data:`EXACT_NODE_CAP` nodes);
-everything else runs block preconditioned conjugate gradient (Jacobi
-preconditioner) against a cached sparse Laplacian, with the nullspace of
-component indicator vectors projected out of the right-hand side and
-re-projected every iteration.
+:func:`solve_laplacian` is the one solve entry point, and the graph's size
+picks its route: graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the
+cached dense eigendecomposition pseudoinverse (a plain (n, n) array, which
+every exact path caps at :data:`EXACT_NODE_CAP` nodes); all others run block
+preconditioned conjugate gradient (Jacobi preconditioner) against a cached
+sparse Laplacian, with the nullspace of component indicator vectors
+projected out of the right-hand side and re-projected every iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ PINV_RCOND = 1e-10
 #: Node count above which the exact (dense pseudoinverse) paths refuse a graph.
 EXACT_NODE_CAP = 2048
 
+#: Node count from which :func:`solve_laplacian` runs block PCG; smaller
+#: graphs go through the dense pseudoinverse.
+DENSE_SOLVE_NODES = 512
+
 
 class SolverConvergenceError(RuntimeError):
     """PCG failed to reach the requested tolerance within the iteration cap.
@@ -52,22 +57,18 @@ class PseudoinverseRankError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`solve_laplacian`.
+    """PCG settings of :func:`solve_laplacian`; the dense route, taken by
+    graphs under :data:`DENSE_SOLVE_NODES` nodes, uses neither.
 
     Attributes:
-        dense_threshold: systems with n below this go through the dense
-            pseudoinverse path.
         rel_tolerance: PCG stops when ||r|| <= rel_tolerance * ||b|| per column.
         max_iterations: PCG iteration cap; None means 10*sqrt(n) + 200.
     """
 
-    dense_threshold: int = 512
     rel_tolerance: float = 1e-8
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.dense_threshold < 1:
-            raise ValueError("dense_threshold must be >= 1")
         if not (0 < self.rel_tolerance < 1):
             raise ValueError("rel_tolerance must be in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -134,7 +135,7 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def dense_pseudoinverse(graph: Graph, cap: int = EXACT_NODE_CAP) -> np.ndarray:
+def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     """Eigendecomposition pseudoinverse of the Laplacian, as an (n, n)
     symmetric array cached per graph instance. The array is read-only,
     since every caller shares it; copy it before writing.
@@ -143,14 +144,14 @@ def dense_pseudoinverse(graph: Graph, cap: int = EXACT_NODE_CAP) -> np.ndarray:
     of zeroed eigenvalues must equal the number of connected components.
 
     Raises:
-        ValueError: if the graph has more than ``cap`` nodes.
+        ValueError: if the graph has more than :data:`EXACT_NODE_CAP` nodes.
         PseudoinverseRankError: if the numeric nullspace dimension disagrees
             with the component count.
     """
     n = graph.num_nodes
-    if n > cap:
-        raise ValueError(f"exact computation capped at {cap} nodes (graph has "
-                         f"{n}); pass epsilon to sketch instead")
+    if n > EXACT_NODE_CAP:
+        raise ValueError(f"exact computation capped at {EXACT_NODE_CAP} nodes "
+                         f"(graph has {n}); pass epsilon to sketch instead")
     cached = _PINV_CACHE.get(graph)
     if cached is not None:
         return cached
@@ -268,9 +269,9 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
 
     The right-hand side is first projected onto the range of L (per-component
-    mean removed). Systems with n below ``config.dense_threshold`` multiply by
-    the cached dense pseudoinverse; larger ones run Jacobi-preconditioned
-    block CG with nullspace re-projection each iteration.
+    mean removed). Graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by
+    the cached dense pseudoinverse; all others run Jacobi-preconditioned
+    block CG with nullspace re-projection each iteration, under ``config``.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -281,9 +282,8 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
                          f"{graph.num_nodes}, got shape {b.shape}")
     projected = project_out_nullspace(graph, mat)
     n = graph.num_nodes
-    if n < config.dense_threshold:
-        # uncapped: a dense_threshold above the cap is the user's choice
-        x = dense_pseudoinverse(graph, cap=n) @ projected
+    if n < DENSE_SOLVE_NODES:
+        x = dense_pseudoinverse(graph) @ projected
     else:
         lap = laplacian_csr(graph)
         safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)

@@ -1,8 +1,8 @@
-"""Shared corpora for the test suite.
+"""Shared corpora and fixtures for the test suite.
 
 The main corpus (100 random connected weighted graphs, n <= 64) backs the
 identity criteria; individual test modules build smaller throwaway graphs
-inline.
+inline. The ``pcg_route`` fixture lets a test run block PCG on small graphs.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from affinity import solvers
 from affinity.oracle import random_connected_graph
 
 CORPUS_SEED = 20260814
@@ -36,3 +37,10 @@ def corpus100():
 @pytest.fixture(scope="session")
 def corpus_small():
     return make_corpus(20, 32, seed=CORPUS_SEED + 1)
+
+
+@pytest.fixture
+def pcg_route(monkeypatch):
+    """Call the returned switch to send every later ``solve_laplacian`` call
+    of the test down the block-PCG route, whatever the graph's size."""
+    return lambda: monkeypatch.setattr(solvers, "DENSE_SOLVE_NODES", 1)

@@ -77,16 +77,16 @@ def test_compute_bad_feature_is_exit_2(tmp_path, capsys):
 
 def test_compute_bad_solver_value_is_exit_2(tmp_path, capsys):
     graph_file = _write_cycle(tmp_path)
-    for flag, value in (("--tol", "2"), ("--dense-threshold", "0"),
-                        ("--max-iter", "0")):
+    for flag, value in (("--tol", "2"), ("--max-iter", "0")):
         code = main(["compute", "--input", str(graph_file), flag, value,
                      "--out", str(tmp_path / "x.json")])
         assert code == 2, flag
         assert "error" in capsys.readouterr().err
 
 
-def test_compute_solver_failure_is_exit_3(tmp_path, capsys):
+def test_compute_solver_failure_is_exit_3(tmp_path, capsys, pcg_route):
     # an unreachable tolerance at a tiny iteration cap cannot converge
+    pcg_route()
     graph_file = tmp_path / "g.json"
     from affinity.graph import graph_to_json_dict
     from affinity.oracle import random_connected_graph
@@ -94,7 +94,7 @@ def test_compute_solver_failure_is_exit_3(tmp_path, capsys):
     graph_file.write_text(json.dumps(graph_to_json_dict(g)))
     code = main(["compute", "--input", str(graph_file),
                  "--features", "node-emb", "--epsilon", "0.5",
-                 "--dense-threshold", "2", "--max-iter", "2",
+                 "--max-iter", "2",
                  "--out", str(tmp_path / "x.json")])
     assert code == 3
     assert "solver" in capsys.readouterr().err
@@ -194,3 +194,20 @@ def test_bench_tiny(capsys):
     assert doc["num_nodes"] == 500
     assert doc["sketch_dim"] >= 1
     assert doc["sketch_seconds"] >= 0.0
+
+
+def test_dense_threshold_flag_is_exit_2(tmp_path, capsys):
+    # the graph's size picks the solve route; no flag overrides it
+    graph_file = _write_cycle(tmp_path)
+    for command in (["compute", "--input", str(graph_file),
+                     "--out", str(tmp_path / "x.json")], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--dense-threshold", "5000"])
+        assert exc.value.code == 2
+        assert "--dense-threshold" in capsys.readouterr().err
+
+
+def test_bench_needs_two_nodes(capsys):
+    for n in ("0", "1"):
+        assert main(["bench", "--n", n, "--m", "10"]) == 2
+        assert "--n must be at least 2" in capsys.readouterr().err

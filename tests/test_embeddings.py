@@ -77,6 +77,13 @@ def test_sketched_embedding_chunk_size_agreement():
     assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
 
 
+def test_sketched_embedding_rejects_chunk_size_below_one():
+    g = random_connected_graph(50, 3.0, seed=4)
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            sketched_embedding(g, 0.4, seed=5, chunk_size=chunk_size)
+
+
 def test_sketched_embedding_edge_guarantee():
     # every edge within (1 +/- 3 eps) of the exact resistance
     eps = 0.25
@@ -114,8 +121,8 @@ def test_sketched_embedding_requires_edges_and_seed():
 
 def test_sketch_respects_solver_config_tightening():
     # a sketch with a loose user tolerance must still deliver eps/10
-    g = random_connected_graph(600, 3.0, seed=8)  # forces the PCG path
-    cfg = SolverConfig(dense_threshold=16, rel_tolerance=0.9e-1)
+    g = random_connected_graph(600, 3.0, seed=8)  # large enough for PCG
+    cfg = SolverConfig(rel_tolerance=0.9e-1)
     emb = sketched_embedding(g, 0.5, seed=1, config=cfg)
     assert emb.dim == jl_dimension(600, g.num_edges, 0.5)
     assert np.all(np.isfinite(emb.vectors))

@@ -83,6 +83,16 @@ def test_components_two_islands():
     assert g.component_nodes(g.component_of[4]).tolist() == [4]
 
 
+def test_component_labels_follow_lowest_node():
+    # four interleaved components plus isolated nodes 2, 7 and 10, with the
+    # edges given in reversed order; labels count components by lowest node
+    edges = [(0, 5), (5, 9), (1, 4), (4, 11), (3, 6), (6, 12), (8, 13)]
+    g = build_graph(14, edges[::-1])
+    assert g.num_components == 7
+    assert g.component_of.tolist() == \
+        [0, 1, 2, 3, 1, 0, 3, 4, 5, 0, 6, 1, 3, 5]
+
+
 def test_adjacency_round_trip():
     g = build_graph(4, [(0, 1, 2.0), (1, 2, 1.0), (1, 3, 4.0)])
     assert g.nbr_indices[g.nbr_indptr[0]:g.nbr_indptr[1]].tolist() == [1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import affinity.measures as measures
+from affinity import solvers
 from affinity.embeddings import exact_embedding, sketched_embedding
 from affinity.features import assemble_features
 from affinity.graph import CrossComponentError, build_graph, \
@@ -17,7 +18,6 @@ from affinity.measures import (AffinityTable, commute_time,
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
                              disjoint_union, grounded_hitting_times,
                              random_connected_graph, spd_bellman_ford)
-from affinity.solvers import SolverConfig
 
 
 def test_triangle_resistance():
@@ -86,10 +86,11 @@ def test_hitting_time_outside_component_is_inf():
     assert np.isinf(h[2]) and np.isinf(h[3])
 
 
-def test_hitting_time_iterative_path_agrees():
+def test_hitting_time_iterative_path_agrees(pcg_route):
     g = random_connected_graph(80, 3.5, (0.5, 2.0), seed=1)
-    dense = hitting_time_exact(g, 5, SolverConfig())
-    iterative = hitting_time_exact(g, 5, SolverConfig(dense_threshold=2))
+    dense = hitting_time_exact(g, 5)
+    pcg_route()
+    iterative = hitting_time_exact(g, 5)
     assert np.max(np.abs(dense - iterative)) <= 1e-6
 
 
@@ -204,14 +205,14 @@ def test_affinity_table_exact_on_edgeless_graph():
 
 
 def test_hitting_time_exact_pcg_path_matches_grounded_oracle():
-    # n >= dense_threshold (512), so the solve runs block PCG; the four
+    # n >= DENSE_SOLVE_NODES (512), so the solve runs block PCG; the four
     # components keep the dense oracle cheap and exercise the projection
     parts = [random_connected_graph(130, 3.0, (0.5, 2.0), seed=s)
              for s in range(4)]
     g = parts[0]
     for part in parts[1:]:
         g, _ = disjoint_union(g, part)
-    assert g.num_nodes >= SolverConfig().dense_threshold
+    assert g.num_nodes >= solvers.DENSE_SOLVE_NODES
     grounded = grounded_hitting_times(g)
     for target in (3, 200, 517):
         got = hitting_time_exact(g, target)

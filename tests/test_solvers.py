@@ -1,8 +1,11 @@
 """Nullspace projection, dense pseudoinverse, and the PCG solve path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from affinity import solvers
 from affinity.graph import build_graph
 from affinity.solvers import (PseudoinverseRankError, SolverConfig,
                               SolverConvergenceError, dense_laplacian,
@@ -13,8 +16,6 @@ from affinity.oracle import build_path, random_connected_graph
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dense_threshold=0)
     with pytest.raises(ValueError):
         SolverConfig(rel_tolerance=0.0)
     with pytest.raises(ValueError):
@@ -106,9 +107,9 @@ def test_pseudoinverse_moore_penrose_identities():
 
 
 def test_pseudoinverse_cap():
-    g = random_connected_graph(12, 2.5, seed=1)
-    with pytest.raises(ValueError, match="capped at 10 nodes"):
-        dense_pseudoinverse(g, cap=10)
+    g = build_path(2049)
+    with pytest.raises(ValueError, match="capped at 2048 nodes"):
+        dense_pseudoinverse(g)
 
 
 def test_solve_dense_path_matches_pinv():
@@ -120,25 +121,52 @@ def test_solve_dense_path_matches_pinv():
     assert np.allclose(x, expected, atol=1e-12)
 
 
-def test_solve_iterative_agrees_with_dense(corpus_small):
-    dense_cfg = SolverConfig()
-    pcg_cfg = SolverConfig(dense_threshold=1)
+def test_solve_iterative_agrees_with_dense(corpus_small, pcg_route):
+    pcg_route()
     rng = np.random.default_rng(4)
     for g in corpus_small[:10]:
         b = rng.standard_normal((g.num_nodes, 2))
-        xd = solve_laplacian(g, b, dense_cfg)
-        xi = solve_laplacian(g, b, pcg_cfg)
+        xd = dense_pseudoinverse(g) @ project_out_nullspace(g, b)
+        xi = solve_laplacian(g, b)
         assert np.max(np.abs(xd - xi)) <= 1e-7
 
 
-def test_solve_residual_meets_tolerance():
+def test_solve_residual_meets_tolerance(pcg_route):
+    pcg_route()
     g = random_connected_graph(300, 4.0, seed=7)
-    cfg = SolverConfig(dense_threshold=1, rel_tolerance=1e-10)
+    cfg = SolverConfig(rel_tolerance=1e-10)
     rng = np.random.default_rng(8)
     b = project_out_nullspace(g, rng.standard_normal(300))
     x = solve_laplacian(g, b, cfg)
     residual = np.linalg.norm(laplacian_csr(g) @ x - b)
     assert residual <= 1e-10 * np.linalg.norm(b) * 10  # modest slack
+
+
+def test_graph_size_picks_the_solve_route(monkeypatch):
+    # no SolverConfig reaches the dense route from DENSE_SOLVE_NODES nodes up
+    calls = []
+    real = solvers.dense_pseudoinverse
+
+    def counting(graph):
+        calls.append(graph.num_nodes)
+        return real(graph)
+
+    monkeypatch.setattr(solvers, "dense_pseudoinverse", counting)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+        ["rel_tolerance", "max_iterations"]
+    rng = np.random.default_rng(14)
+    large = random_connected_graph(solvers.DENSE_SOLVE_NODES, 4.0, seed=15)
+    b = project_out_nullspace(large, rng.standard_normal(large.num_nodes))
+    for cfg in (None, SolverConfig(rel_tolerance=0.5),
+                SolverConfig(max_iterations=5000)):
+        x = solve_laplacian(large, b, cfg)
+        tol = (cfg or SolverConfig()).rel_tolerance
+        assert np.linalg.norm(laplacian_csr(large) @ x - b) \
+            <= tol * np.linalg.norm(b)
+    assert calls == []
+    small = random_connected_graph(solvers.DENSE_SOLVE_NODES - 1, 4.0, seed=15)
+    solve_laplacian(small, rng.standard_normal(small.num_nodes))
+    assert calls == [solvers.DENSE_SOLVE_NODES - 1]
 
 
 def test_solution_orthogonal_to_indicators():
@@ -150,16 +178,17 @@ def test_solution_orthogonal_to_indicators():
         assert abs(x[nodes].sum()) <= 1e-10
 
 
-def test_zero_rhs_returns_zero():
+def test_zero_rhs_returns_zero(pcg_route):
+    pcg_route()
     g = random_connected_graph(40, 3.0, seed=9)
-    x = solve_laplacian(g, np.zeros((40, 2)), SolverConfig(dense_threshold=1))
+    x = solve_laplacian(g, np.zeros((40, 2)))
     assert np.array_equal(x, np.zeros((40, 2)))
 
 
-def test_convergence_error_reports_residual_and_column():
+def test_convergence_error_reports_residual_and_column(pcg_route):
+    pcg_route()
     g = random_connected_graph(200, 3.0, seed=10)
-    cfg = SolverConfig(dense_threshold=1, rel_tolerance=1e-12,
-                       max_iterations=2)
+    cfg = SolverConfig(rel_tolerance=1e-12, max_iterations=2)
     b = np.random.default_rng(11).standard_normal((200, 3))
     with pytest.raises(SolverConvergenceError) as excinfo:
         solve_laplacian(g, b, cfg)
@@ -169,14 +198,14 @@ def test_convergence_error_reports_residual_and_column():
     assert "residual" in str(err)
 
 
-def test_batched_and_single_column_solves_match():
+def test_batched_and_single_column_solves_match(pcg_route):
+    pcg_route()
     g = random_connected_graph(150, 4.0, seed=12)
-    cfg = SolverConfig(dense_threshold=1)
     rng = np.random.default_rng(13)
     block = rng.standard_normal((150, 5))
-    batched = solve_laplacian(g, block, cfg)
+    batched = solve_laplacian(g, block)
     for j in range(5):
-        single = solve_laplacian(g, block[:, j], cfg)
+        single = solve_laplacian(g, block[:, j])
         assert np.max(np.abs(single - batched[:, j])) <= 1e-12
 
 
