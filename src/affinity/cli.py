@@ -245,6 +245,11 @@ def _cmd_bench(args) -> int:
     config = _solver_config(args)
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
+    # a connected simple graph has between n - 1 and n(n - 1)/2 edges
+    if not args.n - 1 <= args.m <= args.n * (args.n - 1) // 2:
+        raise ValueError(f"--m must be in [{args.n - 1}, "
+                         f"{args.n * (args.n - 1) // 2}] for --n {args.n}, "
+                         f"got {args.m}")
     avg_degree = 2.0 * args.m / args.n
     build_start = time.perf_counter()
     graph = random_connected_graph(args.n, avg_degree, seed=args.seed)

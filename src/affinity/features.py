@@ -9,7 +9,6 @@ parameters, and rotation seeds.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
@@ -158,13 +157,77 @@ def augment_with_rotation(features: FeatureSet, rotation_seed: int) -> FeatureSe
     return dc_replace(features, manifest=manifest, **updates)
 
 
-def _require_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _array_rows(arr: np.ndarray) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
+
+
+def _table_names(fmt: str, families) -> list[str]:
+    """Tables of a csv or binary export in write order; csv has an edge index
+    table only when no edge table carries the index in its u,v columns."""
+    if fmt == "binary":
+        return ["edge_index", *families]
+    if any(name.startswith("edge_") for name in families):
+        return list(families)
+    return [*families, "edge_index"]
+
+
+def _write_csv_table(path: Path, name: str, arr: np.ndarray,
+                     features: FeatureSet) -> None:
+    """A header, then each row's index column(s) and ``repr`` of each value;
+    lines end in CRLF, as the standard csv writer ends them."""
+    rows = _array_rows(arr)
+    if name.startswith("edge_"):
+        head, index = ["u", "v"], features.edge_index.tolist()
+    else:
+        head, index = ["node"], [[node] for node in range(rows.shape[0])]
+    lines = [",".join(head + [f"c{j}" for j in range(rows.shape[1])])]
+    lines += [",".join(map(repr, at + row))
+              for at, row in zip(index, rows.tolist())]
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+
+def _write_binary_array(path: Path, name: str, arr: np.ndarray,
+                        features: FeatureSet) -> None:
+    flags = _FLAG_INTEGER if name == "edge_index" else 0
+    if features.manifest.get("kind") == "sketched":
+        flags |= _FLAG_SKETCHED
+    if features.manifest.get("rotation_seeds"):
+        flags |= _FLAG_ROTATED
+    rows = _array_rows(np.asarray(arr, dtype=np.float64))
+    header = struct.pack("<4sIII", _BINARY_MAGIC, rows.shape[0],
+                         rows.shape[1], flags)
+    payload = np.ascontiguousarray(rows, dtype="<f8").tobytes()
+    path.write_bytes(header + payload)
+
+
+def _read_csv_table(path: Path) -> np.ndarray:
+    """Every column of a csv table, index columns included, as float64."""
+    try:
+        header, *lines = path.read_text().splitlines()
+        table = np.array([line.split(",") for line in lines], dtype=np.float64)
+    except ValueError as exc:
+        raise GraphInputError(f"{path}: {exc}") from exc
+    return table.reshape(len(lines), header.count(",") + 1)
+
+
+def _read_binary_array(path: Path) -> np.ndarray:
+    blob = path.read_bytes()
+    if len(blob) < 16:
+        raise GraphInputError(f"{path}: truncated binary array")
+    magic, rows, cols, _ = struct.unpack("<4sIII", blob[:16])
+    if magic != _BINARY_MAGIC:
+        raise GraphInputError(f"{path}: bad magic {magic!r}, "
+                              f"expected {_BINARY_MAGIC!r}")
+    expected = 16 + rows * cols * 8
+    if len(blob) != expected:
+        raise GraphInputError(f"{path}: expected {expected} bytes for "
+                              f"{rows}x{cols} float64, got {len(blob)}")
+    data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(rows, cols)
+    return data.copy()
+
+
+_TABLE_CODECS = {"csv": (".csv", _write_csv_table, _read_csv_table),
+                 "binary": (".bin", _write_binary_array, _read_binary_array)}
 
 
 def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Path]:
@@ -174,9 +237,9 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
         json: one file holding manifest plus nested-list arrays.
         csv: a directory with manifest.json and one CSV per family, plus
             edge_index.csv when no edge family carries the edge index.
-        binary: a directory with manifest.json and one packed array file per
-            family (16-byte header: magic, rows, cols, flags; then row-major
-            little-endian float64).
+        binary: a directory with manifest.json, edge_index.bin and one packed
+            array file per family (16-byte header: magic, rows, cols, flags;
+            then row-major little-endian float64).
     """
     path = Path(path)
     if fmt == "json":
@@ -189,93 +252,46 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
                        for name, arr in features.family_arrays().items()},
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with path.open("w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         return [path]
-    if fmt == "csv":
-        out_dir = _require_dir(path)
-        written = [out_dir / "manifest.json"]
-        written[0].write_text(json.dumps(features.manifest, indent=2,
-                                         sort_keys=True) + "\n")
-        arrays = features.family_arrays()
-        if not any(name.startswith("edge_") for name in arrays):
-            # no edge family carries the edge index: write it as its own table
-            arrays["edge_index"] = np.zeros((features.edge_index.shape[0], 0))
-        for name, arr in arrays.items():
-            file = out_dir / f"{name}.csv"
-            rows = _array_rows(arr)
-            with file.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                if name.startswith("edge_"):
-                    header = ["u", "v"] + [f"c{j}" for j in range(rows.shape[1])]
-                    writer.writerow(header)
-                    for (u, v), row in zip(features.edge_index, rows):
-                        writer.writerow([int(u), int(v)]
-                                        + [repr(float(x)) for x in row])
-                else:
-                    writer.writerow(["node"]
-                                    + [f"c{j}" for j in range(rows.shape[1])])
-                    for node, row in enumerate(rows):
-                        writer.writerow([node] + [repr(float(x)) for x in row])
-            written.append(file)
-        return written
-    if fmt == "binary":
-        out_dir = _require_dir(path)
-        written = [out_dir / "manifest.json"]
-        written[0].write_text(json.dumps(features.manifest, indent=2,
-                                         sort_keys=True) + "\n")
-        base_flags = 0
-        if features.manifest.get("kind") == "sketched":
-            base_flags |= _FLAG_SKETCHED
-        if features.manifest.get("rotation_seeds"):
-            base_flags |= _FLAG_ROTATED
-        edge_file = out_dir / "edge_index.bin"
-        _write_binary_array(edge_file, features.edge_index.astype(np.float64),
-                            base_flags | _FLAG_INTEGER)
-        written.append(edge_file)
-        for name, arr in features.family_arrays().items():
-            file = out_dir / f"{name}.bin"
-            _write_binary_array(file, arr, base_flags)
-            written.append(file)
-        return written
-    raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")
-
-
-def _write_binary_array(path: Path, arr: np.ndarray, flags: int) -> None:
-    rows = _array_rows(np.asarray(arr, dtype=np.float64))
-    header = struct.pack("<4sIII", _BINARY_MAGIC, rows.shape[0],
-                         rows.shape[1], flags)
-    payload = np.ascontiguousarray(rows, dtype="<f8").tobytes()
-    path.write_bytes(header + payload)
-
-
-def _read_binary_array(path: Path) -> tuple[np.ndarray, int]:
-    blob = path.read_bytes()
-    if len(blob) < 16:
-        raise GraphInputError(f"{path}: truncated binary array")
-    magic, rows, cols, flags = struct.unpack("<4sIII", blob[:16])
-    if magic != _BINARY_MAGIC:
-        raise GraphInputError(f"{path}: bad magic {magic!r}, "
-                              f"expected {_BINARY_MAGIC!r}")
-    expected = 16 + rows * cols * 8
-    if len(blob) != expected:
-        raise GraphInputError(f"{path}: expected {expected} bytes for "
-                              f"{rows}x{cols} float64, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(rows, cols)
-    return data.copy(), flags
+    if fmt not in _TABLE_CODECS:
+        raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")
+    suffix, write, _ = _TABLE_CODECS[fmt]
+    path.mkdir(parents=True, exist_ok=True)
+    written = [path / "manifest.json"]
+    written[0].write_text(json.dumps(features.manifest, indent=2,
+                                     sort_keys=True) + "\n")
+    tables = features.family_arrays()
+    names = _table_names(fmt, tables)
+    # a csv edge index table is its u,v columns alone
+    tables["edge_index"] = features.edge_index if fmt == "binary" \
+        else np.zeros((features.edge_index.shape[0], 0))
+    for name in names:
+        written.append(path / f"{name}{suffix}")
+        write(written[-1], name, tables[name], features)
+    return written
 
 
 def _family_shape(name: str, manifest: dict) -> tuple[int, ...]:
-    """Shape of a family as assembled, which the text formats lose when a
-    family has no rows or no columns."""
+    """Shape of a table as assembled, which the text formats lose when it
+    has no rows or no columns."""
     rows = manifest["num_nodes"] if name == "node_embedding" \
         else manifest["num_edges"]
     if name == "edge_er":
         return (rows,)
-    return (rows, 2 if name == "edge_ht" else manifest["embedding_dim"])
+    return (rows, 2 if name in ("edge_index", "edge_ht")
+            else manifest["embedding_dim"])
 
 
 def load_features(path: str | Path, fmt: str) -> FeatureSet:
-    """Read back a feature set written by :func:`export_features`."""
+    """Read back a feature set written by :func:`export_features`.
+
+    Raises:
+        GraphInputError: naming the file, when it is malformed or a table
+            holds a different number of values than the manifest gives.
+    """
     path = Path(path)
     if fmt == "json":
         if path.is_dir():
@@ -285,49 +301,31 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
         except json.JSONDecodeError as exc:
             raise GraphInputError(f"{path}: invalid JSON: {exc}") from exc
         manifest = doc["manifest"]
-        arrays = {name: np.asarray(vals, dtype=np.float64)
-                  .reshape(_family_shape(name, manifest))
-                  for name, vals in doc["arrays"].items()}
-        return FeatureSet(
-            num_nodes=manifest["num_nodes"],
-            edge_index=np.asarray(doc["edge_index"],
-                                  dtype=np.int64).reshape(-1, 2),
-            manifest=manifest,
-            **arrays,
-        )
-    if fmt == "csv":
+        tables = {name: (path, np.asarray(values, dtype=np.float64))
+                  for name, values in [("edge_index", doc["edge_index"]),
+                                       *doc["arrays"].items()]}
+    elif fmt in _TABLE_CODECS:
+        suffix, _, read = _TABLE_CODECS[fmt]
         manifest = json.loads((path / "manifest.json").read_text())
-        arrays: dict[str, np.ndarray] = {}
-        edge_index = None
-        names = manifest["families"]
-        if not any(name.startswith("edge_") for name in names):
-            names = names + ["edge_index"]
-        for name in names:
-            rows = []
-            with (path / f"{name}.csv").open() as fh:
-                reader = csv.reader(fh)
-                next(reader)  # header
-                skip = 2 if name.startswith("edge_") else 1
-                index_rows = []
-                for row in reader:
-                    index_rows.append([int(x) for x in row[:skip]])
-                    rows.append([float(x) for x in row[skip:]])
-            if name != "edge_index":
-                arrays[name] = np.asarray(rows, dtype=np.float64) \
-                    .reshape(_family_shape(name, manifest))
-            if name.startswith("edge_") and edge_index is None:
-                edge_index = np.asarray(index_rows,
-                                        dtype=np.int64).reshape(-1, 2)
-        return FeatureSet(num_nodes=manifest["num_nodes"],
-                          edge_index=edge_index, manifest=manifest, **arrays)
-    if fmt == "binary":
-        manifest = json.loads((path / "manifest.json").read_text())
-        edge_index, _ = _read_binary_array(path / "edge_index.bin")
-        arrays = {}
-        for name in manifest["families"]:
-            arr, _ = _read_binary_array(path / f"{name}.bin")
-            arrays[name] = arr.reshape(_family_shape(name, manifest))
-        return FeatureSet(num_nodes=manifest["num_nodes"],
-                          edge_index=edge_index.astype(np.int64),
-                          manifest=manifest, **arrays)
-    raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")
+        files = {name: path / f"{name}{suffix}"
+                 for name in _table_names(fmt, manifest["families"])}
+        tables = {name: (file, read(file)) for name, file in files.items()}
+        if fmt == "csv":
+            # drop the index columns; the first edge table's u,v columns are
+            # the edge index
+            file, table = tables[next(n for n in files if n.startswith("edge_"))]
+            tables = {n: (f, t[:, 2 if n.startswith("edge_") else 1:])
+                      for n, (f, t) in tables.items()}
+            tables["edge_index"] = (file, table[:, :2])
+    else:
+        raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")
+    arrays = {}
+    for name, (file, table) in tables.items():
+        shape = _family_shape(name, manifest)
+        if table.size != np.prod(shape):
+            raise GraphInputError(f"{file}: {name} holds {table.size} values, "
+                                  f"the manifest gives shape {shape}")
+        arrays[name] = table.reshape(shape)
+    return FeatureSet(num_nodes=manifest["num_nodes"],
+                      edge_index=arrays.pop("edge_index").astype(np.int64),
+                      manifest=manifest, **arrays)

@@ -216,9 +216,8 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
     z = precond_diag_inv[:, None] * r
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
-    iterations = 0
 
-    for _ in range(max_iterations):
+    for iterations in range(max_iterations + 1):
         resid = np.linalg.norm(r, axis=0)
         done = resid <= rel_tolerance * bnorm
         if done.any():
@@ -229,11 +228,19 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
                 return solution, iterations
             idx = idx[keep]
             bnorm = bnorm[keep]
+            resid = resid[keep]
             x = x[:, keep]
             r = r[:, keep]
             z = z[:, keep]
             p = p[:, keep]
             rz = rz[keep]
+        if iterations == max_iterations:
+            rel = resid / bnorm
+            raise SolverConvergenceError(
+                f"PCG missed tolerance {rel_tolerance:g} after {max_iterations} "
+                f"iterations on {rel.size} column(s); worst relative "
+                f"residual {float(rel.max()):.3e} at column {int(idx[np.argmax(rel)])}",
+                residuals=rel, columns=idx)
         ap = matvec(p)
         pap = np.einsum("ij,ij->j", p, ap)
         # pap can only vanish if a direction fell entirely into the nullspace;
@@ -248,20 +255,6 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         beta = rz_new / rz
         p = z + p * beta
         rz = rz_new
-        iterations += 1
-
-    resid = np.linalg.norm(r, axis=0)
-    done = resid <= rel_tolerance * bnorm
-    solution[:, idx[done]] = x[:, done]
-    if not done.all():
-        failed = ~done
-        rel = resid[failed] / bnorm[failed]
-        raise SolverConvergenceError(
-            f"PCG missed tolerance {rel_tolerance:g} after {max_iterations} "
-            f"iterations on {int(failed.sum())} column(s); worst relative "
-            f"residual {float(rel.max()):.3e} at column {int(idx[failed][np.argmax(rel)])}",
-            residuals=rel, columns=idx[failed])
-    return solution, iterations
 
 
 def solve_laplacian(graph: Graph, b: np.ndarray,

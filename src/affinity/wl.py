@@ -113,15 +113,6 @@ def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
             break
         colors = new_colors
         history.append(colors)
-    else:
-        # ran out of rounds; check whether the last round happened to be stable
-        if max_rounds is not None and len(history) >= 2 \
-                and np.array_equal(history[-1], history[-2]):
-            rounds_to_stabilize = len(history) - 2
-
-    if rounds_to_stabilize is None and max_rounds is None:
-        # with the cap at n the partition must have stabilized
-        rounds_to_stabilize = len(history) - 1
 
     return Coloring(node_colors=history[-1], history=history,
                     rounds_to_stabilize=rounds_to_stabilize)

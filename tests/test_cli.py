@@ -207,6 +207,15 @@ def test_dense_threshold_flag_is_exit_2(tmp_path, capsys):
         assert "--dense-threshold" in capsys.readouterr().err
 
 
+def test_bench_edge_count_is_honoured_or_refused(capsys):
+    for m in ("2", "46"):
+        assert main(["bench", "--n", "10", "--m", m]) == 2
+        assert "--m must be in [9, 45]" in capsys.readouterr().err
+    for m in (9, 45):
+        assert main(["bench", "--n", "10", "--m", str(m)]) == 0
+        assert json.loads(capsys.readouterr().out)["num_edges"] == m
+
+
 def test_bench_needs_two_nodes(capsys):
     for n in ("0", "1"):
         assert main(["bench", "--n", n, "--m", "10"]) == 2

@@ -1,5 +1,7 @@
 """Feature assembly, serialization round-trips, and rotation replay."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -152,6 +154,78 @@ def test_json_text_round_trip_is_exact():
     fs = assemble_features(g, ["edge_er"])
     doc = json.loads(json.dumps({"x": fs.edge_er.tolist()}))
     assert np.array_equal(np.asarray(doc["x"]), fs.edge_er)
+
+
+def _feature_sets():
+    g = random_connected_graph(14, 3.0, (0.5, 2.0), seed=5)
+    rotated = augment_with_rotation(
+        assemble_features(g, list(FAMILIES), epsilon=0.4, seed=3), 7)
+    return [rotated, assemble_features(g, ["node_embedding"], epsilon=0.4)]
+
+
+def _expected_csv(features):
+    """Each file of a csv export as the standard csv writer writes it."""
+    expected = {"manifest.json": json.dumps(features.manifest, indent=2,
+                                            sort_keys=True) + "\n"}
+    tables = dict(features.family_arrays())
+    if not any(name.startswith("edge_") for name in tables):
+        tables["edge_index"] = np.zeros((features.edge_index.shape[0], 0))
+    for name, arr in tables.items():
+        rows = arr.reshape(arr.shape[0], -1)
+        edge = name.startswith("edge_")
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow((["u", "v"] if edge else ["node"])
+                        + [f"c{j}" for j in range(rows.shape[1])])
+        for i, row in enumerate(rows):
+            index = [int(x) for x in features.edge_index[i]] if edge else [i]
+            writer.writerow(index + [repr(float(x)) for x in row])
+        expected[f"{name}.csv"] = buf.getvalue()
+    return expected
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["rotated_sketch", "node_only"])
+def test_text_exports_match_standard_library_writers(case, tmp_path):
+    fs = _feature_sets()[case]
+    expected = _expected_csv(fs)
+    written = export_features(fs, "csv", tmp_path / "csv")
+    assert [p.name for p in written] == list(expected)
+    for name, text in expected.items():
+        assert (tmp_path / "csv" / name).read_bytes() == text.encode(), name
+    doc = {"manifest": fs.manifest, "edge_index": fs.edge_index.tolist(),
+           "arrays": {name: arr.tolist()
+                      for name, arr in fs.family_arrays().items()}}
+    [json_file] = export_features(fs, "json", tmp_path / "f.json")
+    assert json_file.read_text() == json.dumps(doc, indent=2,
+                                               sort_keys=True) + "\n"
+
+
+def _drop_last_row(target, fmt):
+    if fmt == "json":
+        doc = json.loads(target.read_text())
+        doc["arrays"]["node_embedding"].pop()
+        target.write_text(json.dumps(doc))
+        return target
+    table = target / f"node_embedding.{'bin' if fmt == 'binary' else 'csv'}"
+    if fmt == "csv":
+        table.write_text("".join(table.read_text().splitlines(True)[:-1]))
+    else:
+        blob = table.read_bytes()
+        rows = int.from_bytes(blob[4:8], "little")
+        cols = int.from_bytes(blob[8:12], "little")
+        table.write_bytes(blob[:4] + (rows - 1).to_bytes(4, "little")
+                          + blob[8:16 + (rows - 1) * cols * 8])
+    return table
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
+def test_table_shorter_than_manifest_names_the_file(fmt, tmp_path):
+    fs = _feature_sets()[0]
+    target = tmp_path / ("f.json" if fmt == "json" else fmt)
+    export_features(fs, fmt, target)
+    table = _drop_last_row(target, fmt)
+    with pytest.raises(GraphInputError, match=table.name):
+        load_features(target, fmt)
 
 
 def test_binary_header_and_determinism(tmp_path):
