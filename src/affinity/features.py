@@ -289,43 +289,52 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
     """Read back a feature set written by :func:`export_features`.
 
     Raises:
-        GraphInputError: naming the file, when it is malformed or a table
-            holds a different number of values than the manifest gives.
+        GraphInputError: naming the file, when it is malformed, lacks a key,
+            or a table holds a different number of values than the manifest
+            gives.
     """
     path = Path(path)
     if fmt == "json":
-        if path.is_dir():
-            path = path / "features.json"
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise GraphInputError(f"{path}: invalid JSON: {exc}") from exc
-        manifest = doc["manifest"]
-        tables = {name: (path, np.asarray(values, dtype=np.float64))
-                  for name, values in [("edge_index", doc["edge_index"]),
-                                       *doc["arrays"].items()]}
+        source = path / "features.json" if path.is_dir() else path
     elif fmt in _TABLE_CODECS:
-        suffix, _, read = _TABLE_CODECS[fmt]
-        manifest = json.loads((path / "manifest.json").read_text())
-        files = {name: path / f"{name}{suffix}"
-                 for name in _table_names(fmt, manifest["families"])}
-        tables = {name: (file, read(file)) for name, file in files.items()}
-        if fmt == "csv":
-            # drop the index columns; the first edge table's u,v columns are
-            # the edge index
-            file, table = tables[next(n for n in files if n.startswith("edge_"))]
-            tables = {n: (f, t[:, 2 if n.startswith("edge_") else 1:])
-                      for n, (f, t) in tables.items()}
-            tables["edge_index"] = (file, table[:, :2])
+        source = path / "manifest.json"
     else:
         raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")
-    arrays = {}
-    for name, (file, table) in tables.items():
-        shape = _family_shape(name, manifest)
-        if table.size != np.prod(shape):
-            raise GraphInputError(f"{file}: {name} holds {table.size} values, "
-                                  f"the manifest gives shape {shape}")
-        arrays[name] = table.reshape(shape)
-    return FeatureSet(num_nodes=manifest["num_nodes"],
-                      edge_index=arrays.pop("edge_index").astype(np.int64),
-                      manifest=manifest, **arrays)
+    try:
+        doc = json.loads(source.read_text())
+    except json.JSONDecodeError as exc:
+        raise GraphInputError(f"{source}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GraphInputError(f"{source}: top-level JSON value must be an object")
+    try:
+        if fmt == "json":
+            manifest = doc["manifest"]
+            tables = {name: (source, np.asarray(values, dtype=np.float64))
+                      for name, values in [("edge_index", doc["edge_index"]),
+                                           *doc["arrays"].items()]}
+        else:
+            suffix, _, read = _TABLE_CODECS[fmt]
+            manifest = doc
+            files = {name: path / f"{name}{suffix}"
+                     for name in _table_names(fmt, manifest["families"])}
+            tables = {name: (file, read(file)) for name, file in files.items()}
+            if fmt == "csv":
+                # drop the index columns; the first edge table's u,v columns
+                # are the edge index
+                file, table = tables[next(n for n in files
+                                          if n.startswith("edge_"))]
+                tables = {n: (f, t[:, 2 if n.startswith("edge_") else 1:])
+                          for n, (f, t) in tables.items()}
+                tables["edge_index"] = (file, table[:, :2])
+        arrays = {}
+        for name, (file, table) in tables.items():
+            shape = _family_shape(name, manifest)
+            if table.size != np.prod(shape):
+                raise GraphInputError(f"{file}: {name} holds {table.size} "
+                                      f"values, the manifest gives shape {shape}")
+            arrays[name] = table.reshape(shape)
+        return FeatureSet(num_nodes=manifest["num_nodes"],
+                          edge_index=arrays.pop("edge_index").astype(np.int64),
+                          manifest=manifest, **arrays)
+    except KeyError as exc:
+        raise GraphInputError(f"{source}: missing key {exc}") from None

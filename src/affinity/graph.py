@@ -2,9 +2,9 @@
 
 The :class:`Graph` container is the input type for everything else in this
 package. It keeps the edge list in canonical form (endpoints ordered, parallel
-edges merged by summing weights), precomputes weighted degrees and connected
-components, and carries a CSR-style adjacency usable for walks and
-refinement.
+edges merged by summing weights), precomputes weighted degrees, the sparse
+Laplacian and connected components, and carries a CSR-style adjacency usable
+for walks and refinement.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class Graph:
         nbr_edge_ids: Edge-list index of each incidence.
         nbr_forward: True where the incidence leaves edge_u (i.e. points
             u -> v in canonical edge order); used for directed edge colors.
+        laplacian: (n, n) scipy CSR Laplacian L = D - A, built once by
+            :func:`build_graph` and shared by every solve; its arrays are
+            read-only.
     """
 
     num_nodes: int
@@ -60,6 +63,7 @@ class Graph:
     nbr_weights: np.ndarray = field(repr=False)
     nbr_edge_ids: np.ndarray = field(repr=False)
     nbr_forward: np.ndarray = field(repr=False)
+    laplacian: sparse.csr_matrix = field(repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -181,8 +185,10 @@ def build_graph(num_nodes: int, edges) -> Graph:
         edge_v = np.zeros(0, np.int64)
         edge_w = np.zeros(0, np.float64)
 
+    # bincount of an empty array is int64 whatever the weights
     degrees = (np.bincount(edge_u, weights=edge_w, minlength=num_nodes)
-               + np.bincount(edge_v, weights=edge_w, minlength=num_nodes))
+               + np.bincount(edge_v, weights=edge_w, minlength=num_nodes)
+               ).astype(np.float64, copy=False)
     total_weight = float(edge_w.sum())
 
     m = edge_u.shape[0]
@@ -197,10 +203,16 @@ def build_graph(num_nodes: int, edges) -> Graph:
     nbr_indices = dst[order]
     nbr_weights = np.concatenate([edge_w, edge_w])[order]
 
+    nodes = np.arange(num_nodes)
+    laplacian = sparse.coo_matrix(
+        (np.concatenate([-edge_w, -edge_w, degrees]),
+         (np.concatenate([edge_u, edge_v, nodes]),
+          np.concatenate([edge_v, edge_u, nodes]))),
+        shape=(num_nodes, num_nodes)).tocsr()
+    for arr in (laplacian.data, laplacian.indices, laplacian.indptr):
+        arr.setflags(write=False)
     # labels are numbered by each component's lowest node
-    num_comp, comp = connected_components(
-        sparse.csr_matrix((nbr_weights, nbr_indices, indptr),
-                          shape=(num_nodes, num_nodes)), directed=False)
+    num_comp, comp = connected_components(laplacian, directed=False)
 
     return Graph(
         num_nodes=num_nodes,
@@ -212,6 +224,7 @@ def build_graph(num_nodes: int, edges) -> Graph:
         nbr_weights=nbr_weights,
         nbr_edge_ids=eid[order],
         nbr_forward=fwd[order],
+        laplacian=laplacian,
     )
 
 

@@ -32,11 +32,15 @@ def _check_node(graph: Graph, node: int, name: str) -> int:
     return int(node)
 
 
-def _require_same_component(graph: Graph, u: int, v: int) -> None:
-    if not graph.same_component(u, v):
+def _check_pair(graph: Graph, u: int, v: int) -> tuple[int, int]:
+    """Range-check u and v; distinct nodes must share a component."""
+    u = _check_node(graph, u, "u")
+    v = _check_node(graph, v, "v")
+    if u != v and not graph.same_component(u, v):
         raise CrossComponentError(
             f"nodes {u} and {v} lie in different connected components; "
             f"effective resistance is infinite")
+    return u, v
 
 
 def effective_resistance(graph: Graph, u: int, v: int,
@@ -45,11 +49,9 @@ def effective_resistance(graph: Graph, u: int, v: int,
 
     Res(u, v) = (1_u - 1_v)^T L+ (1_u - 1_v).
     """
-    u = _check_node(graph, u, "u")
-    v = _check_node(graph, v, "v")
+    u, v = _check_pair(graph, u, v)
     if u == v:
         return 0.0
-    _require_same_component(graph, u, v)
     b = np.zeros(graph.num_nodes)
     b[u] = 1.0
     b[v] = -1.0
@@ -71,13 +73,9 @@ def commute_time(graph: Graph, u: int, v: int,
                  config: SolverConfig | None = None) -> float:
     """K(u, v) = 2M * Res(u, v) on a connected graph (component-local M
     otherwise)."""
-    u = _check_node(graph, u, "u")
-    v = _check_node(graph, v, "v")
-    if u == v:
-        return 0.0
-    _require_same_component(graph, u, v)
-    mass = float(_component_masses(graph)[graph.component_of[u]])
-    return 2.0 * mass * effective_resistance(graph, u, v, config)
+    res = effective_resistance(graph, u, v, config)
+    mass = float(_component_masses(graph)[graph.component_of[int(u)]])
+    return 2.0 * mass * res
 
 
 def hitting_time_exact(graph: Graph, target: int,
@@ -104,8 +102,9 @@ def _component_masses(graph: Graph) -> np.ndarray:
     """Edge mass M of every connected component, indexed by label."""
     if graph.num_components <= 1:
         return np.array([graph.total_weight])
+    # bincount of an empty array is int64 whatever the weights
     return np.bincount(graph.component_of[graph.edge_u], weights=graph.edge_w,
-                       minlength=graph.num_components)
+                       minlength=graph.num_components).astype(np.float64)
 
 
 def _pair_hitting_times(embedding: ResistiveEmbedding, graph: Graph,
@@ -141,13 +140,11 @@ def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
     whose additive error is at most 3 * epsilon * H_max with high
     probability.
     """
-    u = _check_node(graph, u, "u")
-    v = _check_node(graph, v, "v")
+    u, v = _check_pair(graph, u, v)
     if embedding.num_nodes != graph.num_nodes:
         raise ValueError("embedding and graph disagree on node count")
     if u == v:
         return 0.0
-    _require_same_component(graph, u, v)
     return float(_pair_hitting_times(embedding, graph, np.array([u]),
                                      np.array([v]))[0])
 
@@ -163,8 +160,7 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
         pi: (n,) stationary distribution over all nodes (restricted to the
             component and renormalized on disconnected graphs).
     """
-    u = _check_node(graph, u, "u")
-    v = _check_node(graph, v, "v")
+    u, v = _check_pair(graph, u, v)
     res = np.asarray(resistance_table, dtype=np.float64)
     n = graph.num_nodes
     if res.shape != (n, n):
@@ -174,7 +170,6 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
         raise ValueError(f"pi must have shape ({n},), got {pi.shape}")
     if u == v:
         return 0.0
-    _require_same_component(graph, u, v)
     label = int(graph.component_of[u])
     nodes = graph.component_nodes(label)
     needed = np.concatenate([res[u, nodes], res[v, nodes]])

@@ -4,9 +4,10 @@
 picks its route: graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the
 cached dense eigendecomposition pseudoinverse (a plain (n, n) array, which
 every exact path caps at :data:`EXACT_NODE_CAP` nodes); all others run block
-preconditioned conjugate gradient (Jacobi preconditioner) against a cached
-sparse Laplacian, with the nullspace of component indicator vectors
-projected out of the right-hand side and re-projected every iteration.
+preconditioned conjugate gradient (Jacobi preconditioner) against the sparse
+Laplacian :func:`~affinity.graph.build_graph` stores on the graph, with the
+nullspace of component indicator vectors projected out of the right-hand side
+and re-projected every iteration.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import scipy.sparse as sparse
 from .graph import Graph
 
 _PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
-    weakref.WeakKeyDictionary()
-_CSR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csr_matrix]" = \
     weakref.WeakKeyDictionary()
 
 #: Relative eigenvalue cutoff below which spectrum entries count as zero.
@@ -81,25 +80,14 @@ class SolverConfig:
 
 
 def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
-    """Sparse CSR Laplacian L = D - A, cached per graph instance; its
-    arrays are read-only, since every caller shares them."""
-    cached = _CSR_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    n = graph.num_nodes
-    m = graph.num_edges
-    rows = np.concatenate([graph.edge_u, graph.edge_v, np.arange(n)])
-    cols = np.concatenate([graph.edge_v, graph.edge_u, np.arange(n)])
-    vals = np.concatenate([-graph.edge_w, -graph.edge_w, graph.degrees])
-    lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    for arr in (lap.data, lap.indices, lap.indptr):
-        arr.setflags(write=False)
-    _CSR_CACHE[graph] = lap
-    return lap
+    """Sparse CSR Laplacian L = D - A that :func:`~affinity.graph.build_graph`
+    stored on the graph; its arrays are read-only, since every caller shares
+    them."""
+    return graph.laplacian
 
 
 def dense_laplacian(graph: Graph) -> np.ndarray:
-    """Dense copy of the cached CSR Laplacian."""
+    """Dense copy of the graph's CSR Laplacian."""
     return laplacian_csr(graph).toarray()
 
 
@@ -141,7 +129,9 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     since every caller shares it; copy it before writing.
 
     Eigenvalues at or below ``PINV_RCOND * lambda_max`` are zeroed; the count
-    of zeroed eigenvalues must equal the number of connected components.
+    of zeroed eigenvalues must equal the number of connected components. A
+    graph without edges has L = 0, so every eigenvalue is zeroed and the
+    pseudoinverse is 0.
 
     Raises:
         ValueError: if the graph has more than :data:`EXACT_NODE_CAP` nodes.
@@ -156,24 +146,16 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     if cached is not None:
         return cached
     eigvals, eigvecs = np.linalg.eigh(dense_laplacian(graph))
-    lam_max = float(eigvals[-1]) if n else 0.0
-    if lam_max <= 0.0:
-        # no edges at all: L = 0 and the pseudoinverse is 0
-        if graph.num_components != n:
-            raise PseudoinverseRankError(
-                f"zero Laplacian but {graph.num_components} components")
-        pinv = np.zeros((n, n))
-    else:
-        cutoff = PINV_RCOND * lam_max
-        zero = eigvals <= cutoff
-        num_zero = int(zero.sum())
-        if num_zero != graph.num_components:
-            raise PseudoinverseRankError(
-                f"{num_zero} eigenvalues under cutoff {cutoff:.3e} but graph "
-                f"has {graph.num_components} connected components")
-        inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
-        pinv = (eigvecs * inv) @ eigvecs.T
-        pinv = 0.5 * (pinv + pinv.T)
+    cutoff = PINV_RCOND * (float(eigvals[-1]) if n else 0.0)
+    zero = eigvals <= cutoff
+    num_zero = int(zero.sum())
+    if num_zero != graph.num_components:
+        raise PseudoinverseRankError(
+            f"{num_zero} eigenvalues under cutoff {cutoff:.3e} but graph "
+            f"has {graph.num_components} connected components")
+    inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
+    pinv = (eigvecs * inv) @ eigvecs.T
+    pinv = 0.5 * (pinv + pinv.T)
     pinv.setflags(write=False)
     _PINV_CACHE[graph] = pinv
     return pinv

@@ -8,6 +8,7 @@ of the file because they dominate the wall clock.
 """
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ import pytest
 import affinity as af
 from affinity import oracle
 from affinity.measures import AffinityTable
+from affinity.solvers import DENSE_SOLVE_NODES
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -380,22 +382,37 @@ def test_rotation_invariance_of_derived_measures():
     assert worst_value <= 1e-9
 
 
-def test_identical_runs_produce_identical_bytes(tmp_path):
+@pytest.mark.parametrize("route", ["dense", "pcg"])
+def test_identical_runs_produce_identical_bytes(route, tmp_path):
     """Two CLI invocations with the same seed write byte-identical exports,
-    including the sketched and rotated feature families."""
+    including the sketched and rotated feature families, on both solve
+    routes: a 60-node graph takes the dense pseudoinverse, and a graph of
+    two components plus an isolated node, at DENSE_SOLVE_NODES nodes or
+    more, runs block PCG with the multi-component projection."""
     cli = [sys.executable, "-m", "affinity.cli"]
     graph_path = tmp_path / "graph.json"
-    subprocess.run(cli + ["gen", "random", "--n", "60", "--avg-degree", "4",
-                          "--wmin", "0.5", "--wmax", "2.0", "--seed", "5",
-                          "--out", str(graph_path)],
-                   check=True, capture_output=True)
+    if route == "dense":
+        subprocess.run(cli + ["gen", "random", "--n", "60", "--avg-degree",
+                              "4", "--wmin", "0.5", "--wmax", "2.0", "--seed",
+                              "5", "--out", str(graph_path)],
+                       check=True, capture_output=True)
+        epsilon = "0.25"
+    else:
+        joined, _ = oracle.disjoint_union(
+            af.random_connected_graph(300, 4.0, (0.5, 2.0), seed=7),
+            af.random_connected_graph(250, 4.0, (0.5, 2.0), seed=8))
+        g = af.build_graph(joined.num_nodes + 1, np.column_stack(
+            [joined.edge_u, joined.edge_v, joined.edge_w]))
+        assert g.num_nodes >= DENSE_SOLVE_NODES and g.num_components == 3
+        graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
+        epsilon = "0.5"
 
     outputs = []
     for name in ("first", "second"):
         out_dir = tmp_path / name
         subprocess.run(cli + ["compute", "--input", str(graph_path),
                               "--features", "er,ht,node-emb,edge-emb",
-                              "--epsilon", "0.25", "--seed", "11",
+                              "--epsilon", epsilon, "--seed", "11",
                               "--rotate", "5", "--format", "binary",
                               "--out", str(out_dir)],
                        check=True, capture_output=True)
@@ -405,7 +422,7 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
     first, second = outputs
     assert set(first) == set(second)
     mismatched = [name for name in first if first[name] != second[name]]
-    _report("byte-identical repeat runs", not mismatched,
+    _report(f"byte-identical repeat runs ({route})", not mismatched,
             f"{len(first)} files compared, mismatches: {mismatched or 'none'}")
     assert not mismatched
 

@@ -228,6 +228,37 @@ def test_table_shorter_than_manifest_names_the_file(fmt, tmp_path):
         load_features(target, fmt)
 
 
+@pytest.mark.parametrize("fault", ["malformed", "not_an_object",
+                                   "missing_key", "missing_num_edges"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
+def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
+    target = tmp_path / ("f.json" if fmt == "json" else fmt)
+    export_features(_feature_sets()[0], fmt, target)
+    # a json export nests its manifest; csv and binary keep it in a file
+    file = target if fmt == "json" else target / "manifest.json"
+    doc = json.loads(file.read_text())
+    manifest = doc["manifest"] if fmt == "json" else doc
+    key = None
+    if fault == "malformed":
+        text = file.read_text().replace('"', "'")
+    elif fault == "not_an_object":
+        text = json.dumps([doc])
+    elif fault == "missing_num_edges":
+        key = "num_edges"
+        del manifest[key]
+        text = json.dumps(doc)
+    else:
+        key = "manifest" if fmt == "json" else "families"
+        del doc[key]
+        text = json.dumps(doc)
+    file.write_text(text)
+    with pytest.raises(GraphInputError) as info:
+        load_features(target, fmt)
+    assert str(file) in str(info.value)
+    if key is not None:
+        assert repr(key) in str(info.value)
+
+
 def test_binary_header_and_determinism(tmp_path):
     fs = assemble_features(_path3(), ["edge_er"])
     out1 = tmp_path / "a"

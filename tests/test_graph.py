@@ -109,6 +109,18 @@ def test_apply_laplacian_hand_value():
     assert np.allclose(laplacian_csr(g) @ np.array([1.0, 0, 0]), [1, -1, 0])
 
 
+def test_laplacian_is_built_with_the_graph():
+    g = build_graph(4, [(0, 1, 2.0), (1, 2)])
+    assert laplacian_csr(g) is g.laplacian
+    assert np.array_equal(g.laplacian.toarray(), [[2, -2, 0, 0],
+                                                  [-2, 3, -1, 0],
+                                                  [0, -1, 1, 0],
+                                                  [0, 0, 0, 0]])
+    # the isolated node keeps an explicit zero on the diagonal
+    assert g.laplacian.nnz == 8
+    assert g.laplacian.has_sorted_indices
+
+
 def test_laplacian_psd_on_corpus(corpus_small):
     for g in corpus_small[:10]:
         eigvals = np.linalg.eigvalsh(dense_laplacian(g))

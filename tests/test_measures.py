@@ -54,6 +54,24 @@ def test_resistance_cross_component_raises():
         effective_resistance(g, 0, 2)
 
 
+def test_pair_measures_share_one_node_pair_check():
+    g = build_graph(5, [(0, 1), (1, 2, 2.0), (3, 4)])
+    emb = exact_embedding(g)
+    res = AffinityTable.exact(g).res
+    pi = np.full(5, 0.2)
+    for measure in (effective_resistance, commute_time,
+                    lambda g, u, v: hitting_time_via_embedding(emb, g, u, v),
+                    lambda g, u, v: tetali_hitting_time(g, res, pi, u, v)):
+        assert measure(g, 4, 4) == 0.0
+        assert measure(g, 0, 2) > 0.0
+        with pytest.raises(ValueError, match="u=5 outside 0..4"):
+            measure(g, 5, 0)
+        with pytest.raises(ValueError, match="v=-1 outside 0..4"):
+            measure(g, 0, -1)
+        with pytest.raises(CrossComponentError, match="nodes 2 and 3"):
+            measure(g, 2, 3)
+
+
 def test_resistance_bounded_by_shortest_path(corpus_small):
     # Rayleigh monotonicity: resistance never exceeds the 1/w path length
     for g in corpus_small[:6]:
@@ -202,6 +220,15 @@ def test_affinity_table_exact_on_edgeless_graph():
     assert np.array_equal(grounded, expected)
     assert np.array_equal(table.res, expected)
     assert table.h_max == 0.0
+
+
+def test_degrees_and_component_masses_are_float64_without_edges():
+    # bincount of an empty array is int64 whatever its weights
+    g = build_graph(3, [])
+    assert g.degrees.dtype == np.float64
+    masses = measures._component_masses(g)
+    assert masses.dtype == np.float64
+    assert np.array_equal(masses, [0.0, 0.0, 0.0])
 
 
 def test_hitting_time_exact_pcg_path_matches_grounded_oracle():

@@ -1,6 +1,8 @@
 """The package's public namespace."""
 
+import re
 import types
+from pathlib import Path
 
 import affinity as af
 
@@ -21,3 +23,14 @@ def test_star_import_exports_exactly_all():
     exec("from affinity import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(af.__all__)
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    # the blocks run in order in one namespace, as a reader would paste them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
