@@ -309,6 +309,10 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
     try:
         if fmt == "json":
             manifest = doc["manifest"]
+            for key in ("manifest", "arrays"):
+                if not isinstance(doc[key], dict):
+                    raise GraphInputError(
+                        f"{source}: {key!r} must be a JSON object")
             tables = {name: (source, np.asarray(values, dtype=np.float64))
                       for name, values in [("edge_index", doc["edge_index"]),
                                            *doc["arrays"].items()]}

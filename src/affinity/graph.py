@@ -2,9 +2,8 @@
 
 The :class:`Graph` container is the input type for everything else in this
 package. It keeps the edge list in canonical form (endpoints ordered, parallel
-edges merged by summing weights), precomputes weighted degrees, the sparse
-Laplacian and connected components, and carries a CSR-style adjacency usable
-for walks and refinement.
+edges merged by summing weights) and precomputes weighted degrees, connected
+components and the sparse Laplacian, its one adjacency structure.
 """
 
 from __future__ import annotations
@@ -31,6 +30,9 @@ class CrossComponentError(ValueError):
 class Graph:
     """Undirected weighted graph in canonical edge-array form.
 
+    Every field but the edge arrays is derived from them by
+    :func:`build_graph`; the Laplacian is the only adjacency structure kept.
+
     Attributes:
         num_nodes: Number of nodes; node ids are 0..num_nodes-1.
         edge_u: (m,) int64 array, first endpoint of each edge, edge_u < edge_v.
@@ -40,11 +42,6 @@ class Graph:
         total_weight: Sum of all edge weights (written M in the docstrings).
         component_of: (n,) int array of connected-component labels.
         num_components: Number of connected components.
-        nbr_indptr / nbr_indices / nbr_weights: CSR adjacency over incidences;
-            the neighbors of u live at indices nbr_indptr[u]:nbr_indptr[u+1].
-        nbr_edge_ids: Edge-list index of each incidence.
-        nbr_forward: True where the incidence leaves edge_u (i.e. points
-            u -> v in canonical edge order); used for directed edge colors.
         laplacian: (n, n) scipy CSR Laplacian L = D - A, built once by
             :func:`build_graph` and shared by every solve; its arrays are
             read-only.
@@ -58,11 +55,6 @@ class Graph:
     total_weight: float = field(repr=False)
     component_of: np.ndarray = field(repr=False)
     num_components: int = field(repr=False)
-    nbr_indptr: np.ndarray = field(repr=False)
-    nbr_indices: np.ndarray = field(repr=False)
-    nbr_weights: np.ndarray = field(repr=False)
-    nbr_edge_ids: np.ndarray = field(repr=False)
-    nbr_forward: np.ndarray = field(repr=False)
     laplacian: sparse.csr_matrix = field(repr=False)
 
     @property
@@ -191,18 +183,6 @@ def build_graph(num_nodes: int, edges) -> Graph:
                ).astype(np.float64, copy=False)
     total_weight = float(edge_w.sum())
 
-    m = edge_u.shape[0]
-    src = np.concatenate([edge_u, edge_v])
-    dst = np.concatenate([edge_v, edge_u])
-    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else \
-        np.zeros(0, np.int64)
-    fwd = np.concatenate([np.ones(m, bool), np.zeros(m, bool)])
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(num_nodes + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    nbr_indices = dst[order]
-    nbr_weights = np.concatenate([edge_w, edge_w])[order]
-
     nodes = np.arange(num_nodes)
     laplacian = sparse.coo_matrix(
         (np.concatenate([-edge_w, -edge_w, degrees]),
@@ -219,11 +199,6 @@ def build_graph(num_nodes: int, edges) -> Graph:
         edge_u=edge_u, edge_v=edge_v, edge_w=edge_w,
         degrees=degrees, total_weight=total_weight,
         component_of=comp, num_components=int(num_comp),
-        nbr_indptr=indptr,
-        nbr_indices=nbr_indices,
-        nbr_weights=nbr_weights,
-        nbr_edge_ids=eid[order],
-        nbr_forward=fwd[order],
         laplacian=laplacian,
     )
 

@@ -44,27 +44,35 @@ def mc_hitting_time(graph: Graph, u: int, v: int, num_walks: int,
     All walks advance together one step at a time; a walk freezes once it
     reaches ``v``. Walks still running at ``max_steps`` (default 100 * n^2)
     are recorded at the cap and counted in ``truncated``.
+
+    The walk table comes from the canonical edge arrays alone: a node's
+    neighbors in edge order, edges where it is edge_u first. ``u`` and ``v``
+    must be nodes (else ``ValueError``) of one component.
     """
+    n = graph.num_nodes
+    for node in (u, v):
+        if not 0 <= node < n:
+            raise ValueError(f"node {node} out of range")
     if not graph.same_component(u, v):
         raise CrossComponentError(f"nodes {u} and {v} are in different "
                                   f"components; the walk never arrives")
     if num_walks < 1:
         raise ValueError("num_walks must be >= 1")
-    n = graph.num_nodes
     if max_steps is None:
         max_steps = 100 * n * n
     rng = np.random.default_rng(seed)
 
-    counts = np.diff(graph.nbr_indptr)
-    width = int(counts.max()) if counts.size else 0
-    # padded per-node cumulative weights; the +inf padding can never be drawn
-    cum = np.full((n, width), np.inf)
-    nbrs = np.zeros((n, width), dtype=np.int64)
-    for node in range(n):
-        lo, hi = graph.nbr_indptr[node], graph.nbr_indptr[node + 1]
-        deg = hi - lo
-        cum[node, :deg] = np.cumsum(graph.nbr_weights[lo:hi])
-        nbrs[node, :deg] = graph.nbr_indices[lo:hi]
+    src = np.concatenate([graph.edge_u, graph.edge_v])
+    order = np.argsort(src, kind="stable")
+    counts = np.bincount(src, minlength=n)
+    row = src[order]
+    col = np.arange(order.size) - (np.cumsum(counts) - counts)[row]
+    nbrs = np.zeros((n, int(counts.max())), dtype=np.int64)
+    nbrs[row, col] = np.concatenate([graph.edge_v, graph.edge_u])[order]
+    weights = np.zeros(nbrs.shape)
+    weights[row, col] = np.concatenate([graph.edge_w, graph.edge_w])[order]
+    # per-node cumulative weights; the zero padding becomes +inf, never drawn
+    cum = np.where(weights > 0, np.cumsum(weights, axis=1), np.inf)
 
     steps = np.zeros(num_walks, dtype=np.int64)
     position = np.full(num_walks, u, dtype=np.int64)

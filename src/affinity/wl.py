@@ -51,12 +51,8 @@ class Coloring:
 def _canonical_ids(values) -> np.ndarray:
     """Densify arbitrary hashable labels to ints in first-seen order."""
     mapping: dict = {}
-    out = np.empty(len(values), dtype=np.int64)
-    for i, val in enumerate(values):
-        if val not in mapping:
-            mapping[val] = len(mapping)
-        out[i] = mapping[val]
-    return out
+    return np.array([mapping.setdefault(val, len(mapping)) for val in values],
+                    dtype=np.int64)
 
 
 def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
@@ -69,44 +65,41 @@ def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
     array giving a direction-dependent color: column 0 is seen from edge_u's
     side, column 1 from edge_v's side.
 
+    Incidences come from the edge arrays: edge i is seen from edge_u[i] with
+    color column 0 and from edge_v[i] with column 1. Each round one lexsort
+    groups them by node, in (neighbor color, edge color) order.
+
     Refinement stops when a round leaves the partition unchanged or after
     ``max_rounds`` rounds, whichever comes first.
     """
     n = graph.num_nodes
     m = graph.num_edges
-    if initial_node_colors is None:
-        colors = np.zeros(n, dtype=np.int64)
-    else:
-        initial_node_colors = np.asarray(initial_node_colors)
-        if initial_node_colors.shape != (n,):
-            raise ValueError(f"initial colors must have shape ({n},)")
-        colors = _canonical_ids(initial_node_colors.tolist())
+    initial = np.zeros(n, np.int64) if initial_node_colors is None \
+        else np.asarray(initial_node_colors)
+    if initial.shape != (n,):
+        raise ValueError(f"initial colors must have shape ({n},)")
+    ec = np.zeros(m, np.int64) if edge_colors is None \
+        else np.asarray(edge_colors)
+    if ec.shape == (m,):
+        ec = np.column_stack([ec, ec])
+    elif ec.shape != (m, 2):
+        raise ValueError(f"edge colors must have shape ({m},) or ({m}, 2)")
 
-    if edge_colors is None:
-        ec = np.zeros((m, 2), dtype=np.int64)
-    else:
-        ec = np.asarray(edge_colors)
-        if ec.shape == (m,):
-            ec = np.column_stack([ec, ec])
-        elif ec.shape != (m, 2):
-            raise ValueError(f"edge colors must have shape ({m},) or ({m}, 2)")
-        ec = ec.astype(np.int64)
-
+    colors = _canonical_ids(initial.tolist())
     limit = max_rounds if max_rounds is not None else max(n, 1)
     history = [colors]
     rounds_to_stabilize: int | None = None
-    # edge color as seen from each incidence's own side
-    side = np.where(graph.nbr_forward, 0, 1)
-    incident_color = ec[graph.nbr_edge_ids, side] if m else \
-        np.zeros(0, dtype=np.int64)
+    node = np.concatenate([graph.edge_u, graph.edge_v])
+    nbr = np.concatenate([graph.edge_v, graph.edge_u])
+    seen = ec.T.ravel().astype(np.int64)  # column 0, then column 1
+    # sorted by node, the incidences of u end at ends[u]
+    ends = np.cumsum(np.bincount(node, minlength=n)).tolist()
 
     for round_no in range(1, limit + 1):
-        signatures = []
-        for u in range(n):
-            lo, hi = graph.nbr_indptr[u], graph.nbr_indptr[u + 1]
-            pairs = sorted(zip(colors[graph.nbr_indices[lo:hi]].tolist(),
-                               incident_color[lo:hi].tolist()))
-            signatures.append((int(colors[u]), tuple(pairs)))
+        order = np.lexsort((seen, colors[nbr], node))
+        pairs = list(zip(colors[nbr[order]].tolist(), seen[order].tolist()))
+        signatures = [(c, tuple(pairs[lo:hi])) for c, lo, hi
+                      in zip(colors.tolist(), [0] + ends, ends)]
         new_colors = _canonical_ids(signatures)
         if np.array_equal(new_colors, colors):
             rounds_to_stabilize = round_no - 1

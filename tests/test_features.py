@@ -228,9 +228,17 @@ def test_table_shorter_than_manifest_names_the_file(fmt, tmp_path):
         load_features(target, fmt)
 
 
-@pytest.mark.parametrize("fault", ["malformed", "not_an_object",
-                                   "missing_key", "missing_num_edges"])
-@pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
+_MANIFEST_FAULTS = [(fmt, fault) for fault in ["malformed", "not_an_object",
+                                                "missing_key",
+                                                "missing_num_edges"]
+                    for fmt in ["json", "csv", "binary"]]
+# a json export nests its manifest and arrays, which must be objects too
+_MANIFEST_FAULTS += [("json", "manifest_not_an_object"),
+                     ("json", "arrays_not_an_object")]
+
+
+@pytest.mark.parametrize("fmt, fault", _MANIFEST_FAULTS,
+                         ids=[f"{fmt}-{fault}" for fmt, fault in _MANIFEST_FAULTS])
 def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
     target = tmp_path / ("f.json" if fmt == "json" else fmt)
     export_features(_feature_sets()[0], fmt, target)
@@ -243,6 +251,10 @@ def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
         text = file.read_text().replace('"', "'")
     elif fault == "not_an_object":
         text = json.dumps([doc])
+    elif fault.endswith("_not_an_object"):
+        key = fault.removesuffix("_not_an_object")
+        doc[key] = [doc[key]]
+        text = json.dumps(doc)
     elif fault == "missing_num_edges":
         key = "num_edges"
         del manifest[key]

@@ -93,16 +93,6 @@ def test_component_labels_follow_lowest_node():
         [0, 1, 2, 3, 1, 0, 3, 4, 5, 0, 6, 1, 3, 5]
 
 
-def test_adjacency_round_trip():
-    g = build_graph(4, [(0, 1, 2.0), (1, 2, 1.0), (1, 3, 4.0)])
-    assert g.nbr_indices[g.nbr_indptr[0]:g.nbr_indptr[1]].tolist() == [1]
-    # incident weights line up with neighbor ids
-    lo, hi = g.nbr_indptr[1], g.nbr_indptr[2]
-    pairs = dict(zip(g.nbr_indices[lo:hi].tolist(),
-                     g.nbr_weights[lo:hi].tolist()))
-    assert pairs == {0: 2.0, 2: 1.0, 3: 4.0}
-
-
 def test_apply_laplacian_hand_value():
     g = build_graph(3, [(0, 1), (1, 2)])
     # L (1,0,0) = first column of L = (1, -1, 0)

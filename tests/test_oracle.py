@@ -42,6 +42,28 @@ def test_mc_agrees_with_exact_within_three_stderr():
     assert abs(est.mean - exact[0]) <= 3.0 * est.stderr + 1e-12
 
 
+def test_mc_sampling_order_is_pinned():
+    # Edges out of canonical order on three components (node 6 is isolated).
+    # Canonical edges: (1,2,3) (3,4,2) (0,2,.5) (0,1,1) (2,5,1.5), so the
+    # walk table lists node 2's neighbours as 5, 1, 0 (edges where it is
+    # edge_u first, then edges where it is edge_v, each in edge order). The
+    # numbers pin that order and the draw per step for this seed.
+    g = build_graph(7, [(1, 2, 3.0), (3, 4, 2.0), (2, 0, 0.5), (0, 1, 1.0),
+                        (5, 2, 1.5)])
+    est = mc_hitting_time(g, 0, 5, num_walks=40, seed=11)
+    assert est.mean == 8.725
+    assert est.stderr == 1.3685981504575757
+    assert est.truncated == 0
+
+
+def test_mc_rejects_nodes_outside_the_graph():
+    g = build_path(4)
+    with pytest.raises(ValueError, match="node -1 out of range"):
+        mc_hitting_time(g, -1, 0, num_walks=10)
+    with pytest.raises(ValueError, match="node 7 out of range"):
+        mc_hitting_time(g, 0, 7, num_walks=10)
+
+
 def test_grounded_hitting_times_closed_forms():
     # path 0-1-2: H(0, 2) = 4, H(1, 2) = 3, H(0, 1) = 1; isolated node 3
     g = build_graph(4, [(0, 1), (1, 2)])

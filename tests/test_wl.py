@@ -75,6 +75,33 @@ def test_directed_edge_colors():
     assert directed.num_classes == 2
 
 
+def test_directed_colors_on_shuffled_multi_component_graph():
+    # Edges given as (2,1), (4,3), (1,0) become canonical edges
+    # e0 = (1,2), e1 = (3,4), e2 = (0,1); node 5 is isolated. Column 0 of a
+    # color is seen from the smaller endpoint, column 1 from the larger:
+    # node 0 sees (nbr 1, color 1); node 1 sees (nbr 2, 0) and (nbr 0, 0);
+    # node 2 sees (nbr 1, 0); node 3 sees (nbr 4, 0); node 4 sees (nbr 3, 1);
+    # node 5 sees nothing.
+    # Round 1, signatures (own color, sorted (nbr color, edge color)):
+    #   0: (0, [(0,1)])  1: (0, [(0,0),(0,0)])  2: (0, [(0,0)])
+    #   3: (0, [(0,0)])  4: (0, [(0,1)])        5: (0, [])
+    #   -> first-seen ids [0, 1, 2, 2, 0, 3]
+    # Round 2:
+    #   0: (0, [(1,1)])  1: (1, [(0,0),(2,0)])  2: (2, [(1,0)])
+    #   3: (2, [(0,0)])  4: (0, [(2,1)])        5: (3, [])
+    #   -> all distinct [0, 1, 2, 3, 4, 5]; round 3 changes nothing.
+    g = build_graph(6, [(2, 1), (4, 3), (1, 0)])
+    colors = np.array([[0, 0], [0, 1], [1, 0]])
+    coloring = wl_refine(g, edge_colors=colors)
+    assert [h.tolist() for h in coloring.history] == [[0] * 6,
+                                                      [0, 1, 2, 2, 0, 3],
+                                                      [0, 1, 2, 3, 4, 5]]
+    assert coloring.rounds_to_stabilize == 2
+    capped = wl_refine(g, edge_colors=colors, max_rounds=1)
+    assert capped.node_colors.tolist() == [0, 1, 2, 2, 0, 3]
+    assert capped.rounds_to_stabilize is None
+
+
 def test_max_rounds_caps_refinement():
     g = build_path(6)
     capped = wl_refine(g, max_rounds=1)
