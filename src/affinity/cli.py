@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
 non-convergence. The solver settings of compute and bench are flags only
 (--tol, --max-iter), so one command line writes the same bytes in every
-shell; the graph's size picks the solve route.
+shell; the graph's size and envelope profile pick the solve route.
 """
 
 from __future__ import annotations

@@ -115,8 +115,9 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         graph: input graph; must have at least one edge.
         epsilon: target distortion in (0, 1).
         seed: non-negative base seed for the Gaussian streams.
-        config: PCG settings (tolerance, iteration cap), used when the
-            graph is large enough for :func:`solve_laplacian` to run PCG.
+        config: solver settings (tolerance, PCG iteration cap), used when
+            the graph is large enough for :func:`solve_laplacian` to take a
+            sparse route.
         chunk_size: number of sketch rows solved per batch, at least 1.
     """
     if graph.num_edges < 1:
@@ -147,11 +148,12 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         try:
             vectors[:, start:stop] = solve_laplacian(graph, block, solve_config)
         except SolverConvergenceError as exc:
-            rows = [start + int(c) for c in (exc.columns if exc.columns
-                                             is not None else [])]
+            rows = start + np.asarray(exc.columns)
+            worst = int(np.argmax(exc.residuals))
             raise SolverConvergenceError(
-                f"sketch rows {rows} did not converge: {exc}",
-                residuals=exc.residuals, columns=np.asarray(rows)) from exc
+                f"{rows.size} of {k} sketch rows ({rows[0]}-{rows[-1]}) did "
+                f"not converge, worst at row {rows[worst]}: {exc}",
+                residuals=exc.residuals, columns=rows) from exc
 
     mean = _stationary_mean(graph, vectors)
     return ResistiveEmbedding(vectors=vectors, kind="sketched", mean=mean,

@@ -285,13 +285,23 @@ def _family_shape(name: str, manifest: dict) -> tuple[int, ...]:
             else manifest["embedding_dim"])
 
 
+def _json_table(source: Path, name: str, values) -> np.ndarray:
+    """A json export's table as float64, or GraphInputError naming the file
+    when its values are not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphInputError(
+            f"{source}: {name!r} is not a table of numbers: {exc}") from None
+
+
 def load_features(path: str | Path, fmt: str) -> FeatureSet:
     """Read back a feature set written by :func:`export_features`.
 
     Raises:
         GraphInputError: naming the file, when it is malformed, lacks a key,
-            or a table holds a different number of values than the manifest
-            gives.
+            holds a table of non-numbers, or a table holds a different number
+            of values than the manifest gives.
     """
     path = Path(path)
     if fmt == "json":
@@ -313,7 +323,7 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
                 if not isinstance(doc[key], dict):
                     raise GraphInputError(
                         f"{source}: {key!r} must be a JSON object")
-            tables = {name: (source, np.asarray(values, dtype=np.float64))
+            tables = {name: (source, _json_table(source, name, values))
                       for name, values in [("edge_index", doc["edge_index"]),
                                            *doc["arrays"].items()]}
         else:

@@ -133,6 +133,16 @@ def build_path(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def build_grid(rows: int, cols: int, weights=None) -> Graph:
+    """rows x cols grid, node r * cols + c; edges run along the rows first,
+    then down the columns, with weights in that order (default 1)."""
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    w = np.ones(u.size) if weights is None else np.asarray(weights, float)
+    return build_graph(rows * cols, np.column_stack([u, v, w]))
+
+
 def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, int]:
     """Stack two graphs side by side; returns (union, offset of b's nodes)."""
     offset = a.num_nodes

@@ -1,13 +1,23 @@
 """Laplacian linear algebra: pseudoinverse, nullspace projection, and solves.
 
-:func:`solve_laplacian` is the one solve entry point, and the graph's size
-picks its route: graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the
-cached dense eigendecomposition pseudoinverse (a plain (n, n) array, which
-every exact path caps at :data:`EXACT_NODE_CAP` nodes); all others run block
-preconditioned conjugate gradient (Jacobi preconditioner) against the sparse
-Laplacian :func:`~affinity.graph.build_graph` stores on the graph, with the
-nullspace of component indicator vectors projected out of the right-hand side
-and re-projected every iteration.
+:func:`solve_laplacian` is the one solve entry point, and the graph picks its
+route, once, before anything is factored:
+
+- graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the cached dense
+  eigendecomposition pseudoinverse (a plain (n, n) array, which every exact
+  path caps at :data:`EXACT_NODE_CAP` nodes);
+- graphs whose reverse Cuthill-McKee envelope profile is at most
+  n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill) solve with
+  a sparse LU of the grounded Laplacian (the lowest node of each component
+  removed), factored once per graph and cached;
+- all others (expanders, whose factors fill in densely) run block
+  preconditioned conjugate gradient (Jacobi preconditioner) against the
+  sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph,
+  with the nullspace of component indicator vectors projected out of the
+  right-hand side and re-projected every iteration.
+
+Both sparse routes check each column's residual against
+:attr:`SolverConfig.rel_tolerance`; PCG alone has an iteration cap.
 """
 
 from __future__ import annotations
@@ -18,10 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from .graph import Graph
 
 _PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
+    weakref.WeakKeyDictionary()
+#: Per graph: None for the PCG route, else (kept nodes, SuperLU factor of the
+#: Laplacian restricted to them).
+_FACTOR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple | None]" = \
     weakref.WeakKeyDictionary()
 
 #: Relative eigenvalue cutoff below which spectrum entries count as zero.
@@ -34,9 +50,17 @@ EXACT_NODE_CAP = 2048
 #: graphs go through the dense pseudoinverse.
 DENSE_SOLVE_NODES = 512
 
+#: A graph from DENSE_SOLVE_NODES nodes up takes the sparse LU route when its
+#: reverse Cuthill-McKee profile is at most n ** DIRECT_PROFILE_EXPONENT, i.e.
+#: when the mean envelope width is at most sqrt(n). Grids sit near 0.7 sqrt(n)
+#: and paths far below; random expanders sit at 3-130 sqrt(n), and factoring
+#: a 20k-node one took 169 s on 2 cores, where its whole PCG sketch took 11 s.
+DIRECT_PROFILE_EXPONENT = 1.5
+
 
 class SolverConvergenceError(RuntimeError):
-    """PCG failed to reach the requested tolerance within the iteration cap.
+    """A sparse solve missed its residual tolerance: PCG within its
+    iteration cap, or the sparse LU route after its one solve.
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -56,12 +80,15 @@ class PseudoinverseRankError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """PCG settings of :func:`solve_laplacian`; the dense route, taken by
-    graphs under :data:`DENSE_SOLVE_NODES` nodes, uses neither.
+    """Settings of the sparse routes of :func:`solve_laplacian`; the dense
+    route, taken by graphs under :data:`DENSE_SOLVE_NODES` nodes, uses
+    neither.
 
     Attributes:
-        rel_tolerance: PCG stops when ||r|| <= rel_tolerance * ||b|| per column.
-        max_iterations: PCG iteration cap; None means 10*sqrt(n) + 200.
+        rel_tolerance: both sparse routes must reach
+            ||L x - b|| <= rel_tolerance * ||b|| per column; PCG stops there.
+        max_iterations: PCG iteration cap; None means 10*sqrt(n) + 200. The
+            sparse LU route does not iterate and ignores it.
     """
 
     rel_tolerance: float = 1e-8
@@ -239,14 +266,74 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rz = rz_new
 
 
+def _rcm_profile(lap: sparse.csr_matrix) -> int:
+    """Envelope profile sum_i (i - first column of row i) of lap under its
+    reverse Cuthill-McKee ordering; it bounds the fill of an LU factor."""
+    n = lap.shape[0]
+    order = reverse_cuthill_mckee(lap, symmetric_mode=True)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    # every row holds its diagonal entry, so no row segment is empty
+    first = np.minimum.reduceat(position[lap.indices], lap.indptr[:-1])
+    return int((position - first).sum())
+
+
+def _grounded_factor(graph: Graph):
+    """The graph's sparse LU route, decided and factored once per graph:
+    None when its profile predicts too much fill for a factor, else (kept
+    nodes, SuperLU factor of the Laplacian restricted to them), with the
+    lowest node of every component grounded (removed), which leaves a
+    nonsingular matrix."""
+    if graph in _FACTOR_CACHE:
+        return _FACTOR_CACHE[graph]
+    lap = laplacian_csr(graph)
+    n = graph.num_nodes
+    factor = None
+    if _rcm_profile(lap) <= n ** DIRECT_PROFILE_EXPONENT:
+        grounded = np.unique(graph.component_of, return_index=True)[1]
+        keep = np.delete(np.arange(n), grounded)
+        factor = (keep, splu(lap[keep][:, keep].tocsc(),
+                             permc_spec="MMD_AT_PLUS_A"))
+    _FACTOR_CACHE[graph] = factor
+    return factor
+
+
+def _direct_solve(graph: Graph, factor, rhs: np.ndarray,
+                  rel_tolerance: float) -> np.ndarray:
+    """Solve L x = rhs (rhs already in the range of L) with the grounded
+    factor, re-project onto the range, and check every column's residual."""
+    keep, lu = factor
+    x = np.zeros_like(rhs)
+    x[keep] = lu.solve(rhs[keep])
+    x = project_out_nullspace(graph, x)
+    resid = np.linalg.norm(laplacian_csr(graph) @ x - rhs, axis=0)
+    bnorm = np.linalg.norm(rhs, axis=0)
+    failed = np.flatnonzero(resid > rel_tolerance * bnorm)
+    if failed.size:
+        rel = resid[failed] / bnorm[failed]
+        raise SolverConvergenceError(
+            f"sparse LU missed tolerance {rel_tolerance:g} on {failed.size} "
+            f"column(s); worst relative residual {float(rel.max()):.3e} at "
+            f"column {int(failed[np.argmax(rel)])}",
+            residuals=rel, columns=failed)
+    return x
+
+
 def solve_laplacian(graph: Graph, b: np.ndarray,
                     config: SolverConfig | None = None) -> np.ndarray:
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
 
     The right-hand side is first projected onto the range of L (per-component
     mean removed). Graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by
-    the cached dense pseudoinverse; all others run Jacobi-preconditioned
-    block CG with nullspace re-projection each iteration, under ``config``.
+    the cached dense pseudoinverse. Larger graphs whose reverse Cuthill-McKee
+    profile is at most n ** :data:`DIRECT_PROFILE_EXPONENT` solve with the
+    cached sparse LU of the grounded Laplacian; all others run
+    Jacobi-preconditioned block CG with nullspace re-projection each
+    iteration. Both sparse routes must reach ``config.rel_tolerance`` on
+    every column; ``config.max_iterations`` caps PCG only.
+
+    Raises:
+        SolverConvergenceError: when a sparse route misses the tolerance.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -259,6 +346,8 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     n = graph.num_nodes
     if n < DENSE_SOLVE_NODES:
         x = dense_pseudoinverse(graph) @ projected
+    elif (factor := _grounded_factor(graph)) is not None:
+        x = _direct_solve(graph, factor, projected, config.rel_tolerance)
     else:
         lap = laplacian_csr(graph)
         safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)

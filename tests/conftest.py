@@ -2,7 +2,8 @@
 
 The main corpus (100 random connected weighted graphs, n <= 64) backs the
 identity criteria; individual test modules build smaller throwaway graphs
-inline. The ``pcg_route`` fixture lets a test run block PCG on small graphs.
+inline. The ``pcg_route`` fixture lets a test run block PCG on small graphs
+and on paths and grids.
 """
 
 from __future__ import annotations
@@ -42,5 +43,9 @@ def corpus_small():
 @pytest.fixture
 def pcg_route(monkeypatch):
     """Call the returned switch to send every later ``solve_laplacian`` call
-    of the test down the block-PCG route, whatever the graph's size."""
-    return lambda: monkeypatch.setattr(solvers, "DENSE_SOLVE_NODES", 1)
+    of the test down the block-PCG route, whatever the graph's size and
+    shape: the dense route and the sparse LU route are both turned off."""
+    def switch():
+        monkeypatch.setattr(solvers, "DENSE_SOLVE_NODES", 1)
+        monkeypatch.setattr(solvers, "_grounded_factor", lambda graph: None)
+    return switch

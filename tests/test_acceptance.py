@@ -382,13 +382,14 @@ def test_rotation_invariance_of_derived_measures():
     assert worst_value <= 1e-9
 
 
-@pytest.mark.parametrize("route", ["dense", "pcg"])
+@pytest.mark.parametrize("route", ["dense", "pcg", "direct"])
 def test_identical_runs_produce_identical_bytes(route, tmp_path):
     """Two CLI invocations with the same seed write byte-identical exports,
-    including the sketched and rotated feature families, on both solve
-    routes: a 60-node graph takes the dense pseudoinverse, and a graph of
-    two components plus an isolated node, at DENSE_SOLVE_NODES nodes or
-    more, runs block PCG with the multi-component projection."""
+    including the sketched and rotated feature families, on every solve
+    route: a 60-node graph takes the dense pseudoinverse, a graph of two
+    random components plus an isolated node, at DENSE_SOLVE_NODES nodes or
+    more, runs block PCG with the multi-component projection, and a 30 x 30
+    grid takes the sparse LU route."""
     cli = [sys.executable, "-m", "affinity.cli"]
     graph_path = tmp_path / "graph.json"
     if route == "dense":
@@ -397,13 +398,20 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
                               "5", "--out", str(graph_path)],
                        check=True, capture_output=True)
         epsilon = "0.25"
-    else:
+    elif route == "pcg":
         joined, _ = oracle.disjoint_union(
             af.random_connected_graph(300, 4.0, (0.5, 2.0), seed=7),
             af.random_connected_graph(250, 4.0, (0.5, 2.0), seed=8))
         g = af.build_graph(joined.num_nodes + 1, np.column_stack(
             [joined.edge_u, joined.edge_v, joined.edge_w]))
         assert g.num_nodes >= DENSE_SOLVE_NODES and g.num_components == 3
+        assert af.solvers._grounded_factor(g) is None
+        graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
+        epsilon = "0.5"
+    else:
+        g = oracle.build_grid(30, 30)
+        assert g.num_nodes >= DENSE_SOLVE_NODES
+        assert af.solvers._grounded_factor(g) is not None
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
 

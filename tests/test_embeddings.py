@@ -8,8 +8,8 @@ from affinity.embeddings import (exact_embedding, jl_dimension,
 from affinity.graph import build_graph
 from affinity.measures import (effective_resistance,
                                effective_resistance_from_embedding)
-from affinity.oracle import build_cycle, random_connected_graph
-from affinity.solvers import SolverConfig
+from affinity.oracle import build_cycle, build_grid, random_connected_graph
+from affinity.solvers import SolverConfig, SolverConvergenceError
 
 
 def test_jl_dimension_values():
@@ -75,6 +75,32 @@ def test_sketched_embedding_chunk_size_agreement():
     a = sketched_embedding(g, 0.4, seed=5, chunk_size=128)
     b = sketched_embedding(g, 0.4, seed=5, chunk_size=7)
     assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
+
+
+def test_sketched_embedding_chunk_size_agreement_on_a_grid():
+    # 625 nodes and a narrow envelope: the sparse LU route
+    g = build_grid(25, 25)
+    a = sketched_embedding(g, 0.4, seed=5, chunk_size=128)
+    b = sketched_embedding(g, 0.4, seed=5, chunk_size=7)
+    assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
+
+
+def test_sketch_convergence_error_states_its_rows_briefly():
+    # no float solve reaches a residual of 1e-30 relative, so every row of
+    # the first chunk fails
+    g = build_grid(25, 25)
+    k = jl_dimension(g.num_nodes, g.num_edges, 0.5)
+    assert k > 128
+    with pytest.raises(SolverConvergenceError) as excinfo:
+        sketched_embedding(g, 0.5, seed=1,
+                           config=SolverConfig(rel_tolerance=1e-30))
+    err = excinfo.value
+    assert list(err.columns) == list(range(128))
+    assert len(err.residuals) == 128
+    message = str(err)
+    assert message.startswith(f"128 of {k} sketch rows (0-127) did not converge")
+    assert "worst relative residual" in message
+    assert len(message) < 250
 
 
 def test_sketched_embedding_rejects_chunk_size_below_one():

@@ -232,9 +232,12 @@ _MANIFEST_FAULTS = [(fmt, fault) for fault in ["malformed", "not_an_object",
                                                 "missing_key",
                                                 "missing_num_edges"]
                     for fmt in ["json", "csv", "binary"]]
-# a json export nests its manifest and arrays, which must be objects too
+# a json export nests its manifest and arrays, which must be objects too,
+# and inlines its tables, which must hold numbers
 _MANIFEST_FAULTS += [("json", "manifest_not_an_object"),
-                     ("json", "arrays_not_an_object")]
+                     ("json", "arrays_not_an_object"),
+                     ("json", "edge_index_not_numbers"),
+                     ("json", "edge_er_not_numbers")]
 
 
 @pytest.mark.parametrize("fmt, fault", _MANIFEST_FAULTS,
@@ -254,6 +257,14 @@ def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
     elif fault.endswith("_not_an_object"):
         key = fault.removesuffix("_not_an_object")
         doc[key] = [doc[key]]
+        text = json.dumps(doc)
+    elif fault == "edge_index_not_numbers":
+        key = "edge_index"
+        doc[key] = {"a": 1}
+        text = json.dumps(doc)
+    elif fault == "edge_er_not_numbers":
+        key = "edge_er"
+        doc["arrays"][key] = "abc"
         text = json.dumps(doc)
     elif fault == "missing_num_edges":
         key = "num_edges"

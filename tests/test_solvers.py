@@ -1,9 +1,11 @@
-"""Nullspace projection, dense pseudoinverse, and the PCG solve path."""
+"""Nullspace projection, dense pseudoinverse, and the PCG and sparse LU
+solve routes."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from affinity import solvers
 from affinity.graph import build_graph
@@ -11,8 +13,11 @@ from affinity.solvers import (PseudoinverseRankError, SolverConfig,
                               SolverConvergenceError, dense_laplacian,
                               dense_pseudoinverse, laplacian_csr,
                               project_out_nullspace, solve_laplacian)
-from affinity.measures import AffinityTable, effective_resistance
-from affinity.oracle import build_path, random_connected_graph
+from affinity.embeddings import sketched_embedding
+from affinity.measures import (AffinityTable, effective_resistance,
+                               hitting_time_exact)
+from affinity.oracle import (build_grid, build_path, disjoint_union,
+                             random_connected_graph)
 
 
 def test_config_validation():
@@ -212,3 +217,96 @@ def test_batched_and_single_column_solves_match(pcg_route):
 def test_rank_error_name_is_exported():
     # the rank check itself is exercised indirectly; here we pin the contract
     assert issubclass(PseudoinverseRankError, RuntimeError)
+
+
+# ------------------------------------------------ the sparse LU route
+
+def _laplacian_from_edges(g):
+    """Sparse L = D - A assembled here from the edge arrays, independently
+    of the Laplacian build_graph stores."""
+    n = g.num_nodes
+    adj = sparse.coo_matrix((g.edge_w, (g.edge_u, g.edge_v)), shape=(n, n))
+    adj = (adj + adj.T).tocsr()
+    return sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+
+
+def _grid_path_and_isolated_node():
+    # a grid, a path and an isolated node: three components to ground
+    a, _ = disjoint_union(build_grid(20, 20), build_path(200))
+    return build_graph(a.num_nodes + 1,
+                       np.column_stack([a.edge_u, a.edge_v, a.edge_w]))
+
+
+def test_long_path_sketches_and_hits_in_closed_form():
+    # a long path is ill-conditioned: cond(L) grows like n^2
+    n = 5000
+    g = build_path(n)
+    sketch = sketched_embedding(g, 0.5, seed=3)
+    d = sketch.vectors[g.edge_u] - sketch.vectors[g.edge_v]
+    er = np.einsum("ij,ij->i", d, d)
+    # every edge of a unit path is a bridge of resistance exactly 1
+    assert np.all((er >= 1 - 3 * 0.5) & (er <= 1 + 3 * 0.5))
+    # the walk from one end of a path of n - 1 unit edges to the other
+    # takes (n - 1)^2 steps in expectation
+    h = hitting_time_exact(g, n - 1)
+    assert h[0] == pytest.approx((n - 1) ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", ["grid100", "wgrid40", "multi_component"])
+def test_grids_solve_to_tolerance_under_defaults(name):
+    if name == "grid100":
+        g = build_grid(100, 100)
+    elif name == "wgrid40":
+        m = 2 * 40 * 39
+        g = build_grid(40, 40, 10.0 ** np.random.default_rng(16)
+                       .uniform(-2, 2, m))
+    else:
+        g = _grid_path_and_isolated_node()
+    assert g.num_nodes >= solvers.DENSE_SOLVE_NODES
+    b = np.random.default_rng(17).standard_normal((g.num_nodes, 3))
+    x = solve_laplacian(g, b)
+    lap = _laplacian_from_edges(g)
+    # b minus its component means is the part of b in the range of L
+    comp = g.component_of
+    means = np.stack([np.bincount(comp, weights=b[:, j]) for j in range(3)], 1)
+    rhs = b - (means / np.bincount(comp)[:, None])[comp]
+    for j in range(3):
+        assert np.linalg.norm(lap @ x[:, j] - rhs[:, j]) \
+            <= SolverConfig().rel_tolerance * np.linalg.norm(rhs[:, j])
+    # the least-squares solution has no part in the nullspace
+    assert np.allclose(np.bincount(comp, weights=x[:, 0]), 0.0, atol=1e-8)
+
+
+def test_grid_factors_once_and_an_expander_never(monkeypatch):
+    calls = []
+    real = solvers.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counting)
+    g = build_grid(30, 30)
+    sketch = sketched_embedding(g, 0.5, seed=2, chunk_size=40)
+    assert sketch.dim > 3 * 40
+    for target in (0, 450, 899, 450):
+        hitting_time_exact(g, target)
+    # one component: one grounded node
+    assert calls == [(899, 899)]
+
+    expander = random_connected_graph(600, 6.0, seed=18)
+    sketched_embedding(expander, 0.5, seed=2)
+    hitting_time_exact(expander, 7)
+    assert calls == [(899, 899)]
+
+
+def test_sparse_lu_route_reports_missed_tolerance():
+    # no float solve reaches a residual of 1e-30 relative
+    g = build_path(600)
+    b = np.random.default_rng(19).standard_normal((600, 3))
+    with pytest.raises(SolverConvergenceError) as excinfo:
+        solve_laplacian(g, b, SolverConfig(rel_tolerance=1e-30))
+    err = excinfo.value
+    assert list(err.columns) == [0, 1, 2]
+    assert np.all(err.residuals > 1e-30)
+    assert "residual" in str(err)
