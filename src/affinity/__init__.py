@@ -2,8 +2,7 @@
 
 Effective resistances, hitting and commute times, and resistive embeddings,
 computed exactly on small graphs or through Gaussian sketching plus Laplacian
-solves on large ones, with refinement-based expressivity demos and Monte
-Carlo oracles for cross-checking.
+solves on large ones, with refinement-based expressivity demos.
 """
 
 __version__ = "0.1.0"
@@ -18,11 +17,10 @@ from .graph import (CrossComponentError, Graph, GraphInputError, build_graph,
 from .measures import (AffinityTable, commute_time, effective_resistance,
                        effective_resistance_from_embedding, hitting_time_exact,
                        hitting_time_via_embedding, tetali_hitting_time)
-from .oracle import (WalkEstimate, broken_cycle_resistance, build_cycle,
-                     build_path, counterexample_pair, cycle_resistance,
-                     disjoint_union, find_witness_graph, grounded_hitting_times,
-                     mc_hitting_time, random_connected_graph,
-                     spd_bellman_ford, witness_graph)
+from .oracle import (broken_cycle_resistance, build_cycle, build_path,
+                     counterexample_pair, cycle_resistance, find_witness_graph,
+                     grounded_hitting_times, random_connected_graph,
+                     witness_graph)
 from .solvers import (PseudoinverseRankError, SolverConfig,
                       SolverConvergenceError, dense_laplacian,
                       dense_pseudoinverse, project_out_nullspace,
@@ -40,11 +38,10 @@ __all__ = [
     "stationary_distribution",
     "AffinityTable", "commute_time", "effective_resistance",
     "effective_resistance_from_embedding", "hitting_time_exact",
-    "hitting_time_via_embedding", "tetali_hitting_time", "WalkEstimate",
+    "hitting_time_via_embedding", "tetali_hitting_time",
     "broken_cycle_resistance", "build_cycle", "build_path",
-    "counterexample_pair", "cycle_resistance", "disjoint_union",
-    "find_witness_graph", "grounded_hitting_times", "mc_hitting_time",
-    "random_connected_graph", "spd_bellman_ford", "witness_graph",
+    "counterexample_pair", "cycle_resistance", "find_witness_graph",
+    "grounded_hitting_times", "random_connected_graph", "witness_graph",
     "PseudoinverseRankError", "SolverConfig",
     "SolverConvergenceError", "dense_laplacian", "dense_pseudoinverse",
     "project_out_nullspace", "solve_laplacian", "Coloring",

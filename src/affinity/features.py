@@ -298,10 +298,13 @@ def _json_table(source: Path, name: str, values) -> np.ndarray:
 def load_features(path: str | Path, fmt: str) -> FeatureSet:
     """Read back a feature set written by :func:`export_features`.
 
+    The tables read are the ones the manifest's ``families`` lists.
+
     Raises:
-        GraphInputError: naming the file, when it is malformed, lacks a key,
-            holds a table of non-numbers, or a table holds a different number
-            of values than the manifest gives.
+        GraphInputError: naming the file, when it is malformed, lacks a key
+            or a table, lists a family outside ``FAMILIES``, holds a table of
+            non-numbers, or a table holds a different number of values than
+            the manifest gives.
     """
     path = Path(path)
     if fmt == "json":
@@ -318,24 +321,34 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
         raise GraphInputError(f"{source}: top-level JSON value must be an object")
     try:
         if fmt == "json":
-            manifest = doc["manifest"]
             for key in ("manifest", "arrays"):
                 if not isinstance(doc[key], dict):
                     raise GraphInputError(
                         f"{source}: {key!r} must be a JSON object")
+        manifest = doc["manifest"] if fmt == "json" else doc
+        families = manifest["families"]
+        unknown = [name for name in families if name not in FAMILIES]
+        if unknown:
+            raise GraphInputError(f"{source}: unknown families {unknown}; "
+                                  f"valid: {list(FAMILIES)}")
+        if fmt == "json":
+            raw = {"edge_index": doc["edge_index"],
+                   **{name: doc["arrays"][name] for name in families}}
             tables = {name: (source, _json_table(source, name, values))
-                      for name, values in [("edge_index", doc["edge_index"]),
-                                           *doc["arrays"].items()]}
+                      for name, values in raw.items()}
         else:
             suffix, _, read = _TABLE_CODECS[fmt]
-            manifest = doc
-            files = {name: path / f"{name}{suffix}"
-                     for name in _table_names(fmt, manifest["families"])}
-            tables = {name: (file, read(file)) for name, file in files.items()}
+            tables = {}
+            for name in _table_names(fmt, families):
+                file = path / f"{name}{suffix}"
+                if not file.is_file():
+                    raise GraphInputError(f"{source}: lists table {name!r}, "
+                                          f"but {file} is missing")
+                tables[name] = (file, read(file))
             if fmt == "csv":
                 # drop the index columns; the first edge table's u,v columns
                 # are the edge index
-                file, table = tables[next(n for n in files
+                file, table = tables[next(n for n in tables
                                           if n.startswith("edge_"))]
                 tables = {n: (f, t[:, 2 if n.startswith("edge_") else 1:])
                           for n, (f, t) in tables.items()}

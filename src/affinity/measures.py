@@ -27,6 +27,8 @@ from .solvers import (SolverConfig, _component_sums, dense_pseudoinverse,
 
 
 def _check_node(graph: Graph, node: int, name: str) -> int:
+    if not isinstance(node, (int, np.integer)):
+        raise ValueError(f"{name}={node!r} is not an integer node id")
     if not 0 <= node < graph.num_nodes:
         raise ValueError(f"{name}={node!r} outside 0..{graph.num_nodes - 1}")
     return int(node)

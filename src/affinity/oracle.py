@@ -1,100 +1,19 @@
-"""Independent cross-checks: Monte Carlo walks, graph generators, shortest
-paths, automorphism orbits, and the canonical cubic witness graph.
+"""Graph generators, closed forms, the dense grounded hitting-time oracle,
+automorphism orbits of small graphs, and the canonical cubic witness graph.
 
-Everything here deliberately avoids the solver stack so it can serve as an
-oracle for it. Routines are vectorized where it matters but are intended for
-verification-scale graphs unless noted otherwise.
+The generators, closed forms and :func:`grounded_hitting_times` avoid the
+solver stack, so they can serve as oracles for it; the witness fingerprint
+reads :meth:`AffinityTable.exact`. Routines are vectorized where it matters
+but are intended for verification-scale graphs unless noted otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from .graph import CrossComponentError, Graph, build_graph
-
-
-@dataclass(frozen=True)
-class WalkEstimate:
-    """Monte Carlo hitting-time estimate.
-
-    Attributes:
-        mean: average steps to first arrival (truncated walks count at
-            ``max_steps``).
-        stderr: sample standard deviation divided by sqrt(num_walks).
-        num_walks: number of simulated walks.
-        truncated: how many walks hit the step cap before the target.
-        max_steps: the step cap that applied.
-    """
-
-    mean: float
-    stderr: float
-    num_walks: int
-    truncated: int
-    max_steps: int
-
-
-def mc_hitting_time(graph: Graph, u: int, v: int, num_walks: int,
-                    max_steps: int | None = None, seed: int = 0) -> WalkEstimate:
-    """Estimate H(u, v) by simulating weighted random walks in lockstep.
-
-    All walks advance together one step at a time; a walk freezes once it
-    reaches ``v``. Walks still running at ``max_steps`` (default 100 * n^2)
-    are recorded at the cap and counted in ``truncated``.
-
-    The walk table comes from the canonical edge arrays alone: a node's
-    neighbors in edge order, edges where it is edge_u first. ``u`` and ``v``
-    must be nodes (else ``ValueError``) of one component.
-    """
-    n = graph.num_nodes
-    for node in (u, v):
-        if not 0 <= node < n:
-            raise ValueError(f"node {node} out of range")
-    if not graph.same_component(u, v):
-        raise CrossComponentError(f"nodes {u} and {v} are in different "
-                                  f"components; the walk never arrives")
-    if num_walks < 1:
-        raise ValueError("num_walks must be >= 1")
-    if max_steps is None:
-        max_steps = 100 * n * n
-    rng = np.random.default_rng(seed)
-
-    src = np.concatenate([graph.edge_u, graph.edge_v])
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    row = src[order]
-    col = np.arange(order.size) - (np.cumsum(counts) - counts)[row]
-    nbrs = np.zeros((n, int(counts.max())), dtype=np.int64)
-    nbrs[row, col] = np.concatenate([graph.edge_v, graph.edge_u])[order]
-    weights = np.zeros(nbrs.shape)
-    weights[row, col] = np.concatenate([graph.edge_w, graph.edge_w])[order]
-    # per-node cumulative weights; the zero padding becomes +inf, never drawn
-    cum = np.where(weights > 0, np.cumsum(weights, axis=1), np.inf)
-
-    steps = np.zeros(num_walks, dtype=np.int64)
-    position = np.full(num_walks, u, dtype=np.int64)
-    active = position != v
-    t = 0
-    while t < max_steps and active.any():
-        walking = np.flatnonzero(active)
-        here = position[walking]
-        draw = rng.random(walking.size) * graph.degrees[here]
-        slot = (cum[here] <= draw[:, None]).sum(axis=1)
-        position[walking] = nbrs[here, slot]
-        t += 1
-        arrived = position[walking] == v
-        steps[walking[arrived]] = t
-        active[walking[arrived]] = False
-    truncated = int(active.sum())
-    steps[active] = max_steps
-    mean = float(steps.mean())
-    stderr = float(steps.std(ddof=1) / np.sqrt(num_walks)) if num_walks > 1 \
-        else 0.0
-    return WalkEstimate(mean=mean, stderr=stderr, num_walks=num_walks,
-                        truncated=truncated, max_steps=max_steps)
+from .graph import Graph, build_graph
 
 
 def grounded_hitting_times(graph: Graph) -> np.ndarray:
@@ -131,27 +50,6 @@ def build_path(n: int) -> Graph:
     if n < 2:
         raise ValueError("path needs n >= 2")
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def build_grid(rows: int, cols: int, weights=None) -> Graph:
-    """rows x cols grid, node r * cols + c; edges run along the rows first,
-    then down the columns, with weights in that order (default 1)."""
-    idx = np.arange(rows * cols).reshape(rows, cols)
-    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    w = np.ones(u.size) if weights is None else np.asarray(weights, float)
-    return build_graph(rows * cols, np.column_stack([u, v, w]))
-
-
-def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, int]:
-    """Stack two graphs side by side; returns (union, offset of b's nodes)."""
-    offset = a.num_nodes
-    edges_u = np.concatenate([a.edge_u, b.edge_u + offset])
-    edges_v = np.concatenate([a.edge_v, b.edge_v + offset])
-    edges_w = np.concatenate([a.edge_w, b.edge_w])
-    union = build_graph(a.num_nodes + b.num_nodes,
-                        np.column_stack([edges_u, edges_v, edges_w]))
-    return union, offset
 
 
 def counterexample_pair(k: int) -> tuple[Graph, Graph]:
@@ -231,63 +129,36 @@ def random_connected_graph(n: int, avg_degree: float,
     return build_graph(n, np.column_stack([us, vs, ws]))
 
 
-def spd_bellman_ford(graph: Graph, source: int) -> np.ndarray:
-    """Weighted shortest-path distances by synchronous edge relaxation.
-
-    Every round relaxes all edges in both directions simultaneously, which is
-    the message-passing form of Bellman-Ford; unreachable nodes stay at +inf.
-    """
-    if not 0 <= source < graph.num_nodes:
-        raise ValueError(f"source {source} out of range")
-    dist = np.full(graph.num_nodes, np.inf)
-    dist[source] = 0.0
-    for _ in range(graph.num_nodes):
-        relaxed = dist.copy()
-        np.minimum.at(relaxed, graph.edge_u, dist[graph.edge_v] + graph.edge_w)
-        np.minimum.at(relaxed, graph.edge_v, dist[graph.edge_u] + graph.edge_w)
-        if np.array_equal(relaxed, dist):
-            break
-        dist = relaxed
-    return dist
-
-
-def _to_networkx(graph: Graph) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_nodes))
-    g.add_edges_from(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
-    return g
+def _permutations(n: int) -> np.ndarray:
+    """All n! orderings of the nodes 0..n-1, one per row, the identity
+    first: node k is inserted at every position of the orderings of 0..k-1,
+    last position first."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(n):
+        perms = np.concatenate([np.insert(perms, j, k, axis=1)
+                                for j in range(k, -1, -1)])
+    return perms
 
 
 def automorphism_orbits(graph: Graph) -> np.ndarray:
     """Node orbit labels under the full automorphism group (unweighted).
 
-    Enumerates all self-isomorphisms via VF2, so this is only meant for
-    fixture-sized graphs. Orbit ids are assigned in order of each orbit's
-    smallest member.
+    Tries all n! relabellings, so graphs above 8 nodes are refused with
+    ``ValueError``. A relabelling p is an automorphism when it maps every
+    edge onto an edge (``A[p][:, p] == A``); node i's orbit is its set of
+    images p[i]. Orbit ids are assigned in order of each orbit's smallest
+    member.
     """
-    g = _to_networkx(graph)
-    parent = list(range(graph.num_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
-    for mapping in matcher.isomorphisms_iter():
-        for a, b in mapping.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(a) for a in range(graph.num_nodes)]
-    labels: dict[int, int] = {}
-    out = np.empty(graph.num_nodes, dtype=np.int64)
-    for node, root in enumerate(roots):
-        if root not in labels:
-            labels[root] = len(labels)
-        out[node] = labels[root]
-    return out
+    n = graph.num_nodes
+    if n > 8:
+        raise ValueError(f"automorphism_orbits tries all n! relabellings and "
+                         f"takes at most 8 nodes, got {n}")
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[graph.edge_u, graph.edge_v] = True
+    adjacency[graph.edge_v, graph.edge_u] = True
+    perms = _permutations(n)
+    kept = adjacency[perms[:, graph.edge_u], perms[:, graph.edge_v]].all(axis=1)
+    return np.unique(perms[kept].min(axis=0), return_inverse=True)[1]
 
 
 #: Edge list of the unique connected 3-regular graph on 8 nodes whose
@@ -380,28 +251,41 @@ def _matches_witness_fingerprint(graph: Graph) -> bool:
     return False
 
 
+def _adjacency_masks(perms: np.ndarray,
+                     edges: list[tuple[int, int]]) -> np.ndarray:
+    """The 64-bit adjacency mask (bit 8a + b set for every edge direction
+    a -> b) of an 8-node graph under each relabelling in ``perms``."""
+    u, v = np.array(edges).T
+    a, b = perms[:, u], perms[:, v]
+    bits = np.concatenate([8 * a + b, 8 * b + a], axis=1).astype(np.uint64)
+    return np.bitwise_or.reduce(np.left_shift(np.uint64(1), bits), axis=1)
+
+
 def find_witness_graph() -> Graph:
     """Search all connected cubic graphs on 8 nodes for the unique one whose
     orbit structure and edge resistances match the witness fingerprint.
+
+    Isomorphism is tested exactly: each new class adds the adjacency masks
+    of all 40,320 relabellings of its first member to the known set.
 
     Raises:
         RuntimeError: if the enumeration or the fingerprint match does not
             come out exactly as expected (5 isomorphism classes, 1 match).
     """
-    representatives: list[nx.Graph] = []
+    perms = _permutations(8)
+    known: set[int] = set()
     rep_edges: list[list[tuple[int, int]]] = []
     for edges in _cubic_graphs_8():
-        candidate = nx.Graph(edges)
-        candidate.add_nodes_from(range(8))
-        if not nx.is_connected(candidate):
+        # perms[0] is the identity, so this is the candidate's own mask
+        if int(_adjacency_masks(perms[:1], edges)[0]) in known:
             continue
-        if any(nx.is_isomorphic(candidate, seen) for seen in representatives):
+        if build_graph(8, edges).num_components != 1:
             continue
-        representatives.append(candidate)
+        known.update(_adjacency_masks(perms, edges).tolist())
         rep_edges.append(edges)
-    if len(representatives) != 5:
+    if len(rep_edges) != 5:
         raise RuntimeError(f"expected 5 connected cubic graphs on 8 nodes, "
-                           f"enumerated {len(representatives)}")
+                           f"enumerated {len(rep_edges)}")
     matches = [edges for edges in rep_edges
                if _matches_witness_fingerprint(build_graph(8, edges))]
     if len(matches) != 1:

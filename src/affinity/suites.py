@@ -2,8 +2,8 @@
 
 Each suite returns a list of :class:`CheckResult`; a check compares a
 measured quantity produced by the main code paths against an independent
-route (closed forms, identities, Monte Carlo, or brute-force search) at an
-explicit threshold. These are smaller, faster versions of the acceptance
+route (closed forms, identities, or brute-force search) at an explicit
+threshold. These are smaller, faster versions of the acceptance
 tests so users can smoke-test an installation.
 """
 

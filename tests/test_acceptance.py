@@ -23,6 +23,8 @@ import affinity as af
 from affinity import oracle
 from affinity.measures import AffinityTable
 from affinity.solvers import DENSE_SOLVE_NODES
+from oracles import (build_grid, disjoint_union, mc_hitting_time,
+                     spd_bellman_ford)
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -236,9 +238,9 @@ def test_counterexample_family_closed_forms_and_local_blindness():
         gaps = np.abs(res_cycle - res_broken)
         assert np.all(gaps[1:] > 1e-9), f"k={k}: some resistance agrees"
 
-        union, offset = af.disjoint_union(cycle, broken)
+        union, offset = disjoint_union(cycle, broken)
         colors = af.wl_refine(union, max_rounds=k).node_colors
-        hops = oracle.spd_bellman_ford(cycle, 0)
+        hops = spd_bellman_ford(cycle, 0)
         near = hops <= k
         assert np.array_equal(colors[:n][near], colors[offset:][near]), \
             f"k={k}: colors differ inside the {k}-hop ball of node 0"
@@ -319,8 +321,8 @@ def test_walk_simulation_confirms_exact_hitting_times():
         weights = (0.5, 2.0) if case % 3 == 0 else (1.0, 1.0)
         g = af.random_connected_graph(n, 2.6, weights, seed=3000 + case)
         u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-        estimate = af.mc_hitting_time(g, u, v, num_walks=3000,
-                                      seed=4000 + case)
+        estimate = mc_hitting_time(g, u, v, num_walks=3000,
+                                   seed=4000 + case)
         exact = float(af.hitting_time_exact(g, v)[u])
         truncated += estimate.truncated
         if abs(estimate.mean - exact) <= 3.0 * estimate.stderr:
@@ -399,7 +401,7 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
                        check=True, capture_output=True)
         epsilon = "0.25"
     elif route == "pcg":
-        joined, _ = oracle.disjoint_union(
+        joined, _ = disjoint_union(
             af.random_connected_graph(300, 4.0, (0.5, 2.0), seed=7),
             af.random_connected_graph(250, 4.0, (0.5, 2.0), seed=8))
         g = af.build_graph(joined.num_nodes + 1, np.column_stack(
@@ -409,7 +411,7 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
     else:
-        g = oracle.build_grid(30, 30)
+        g = build_grid(30, 30)
         assert g.num_nodes >= DENSE_SOLVE_NODES
         assert af.solvers._grounded_factor(g) is not None
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))

@@ -8,7 +8,8 @@ from affinity.embeddings import (exact_embedding, jl_dimension,
 from affinity.graph import build_graph
 from affinity.measures import (effective_resistance,
                                effective_resistance_from_embedding)
-from affinity.oracle import build_cycle, build_grid, random_connected_graph
+from affinity.oracle import build_cycle, random_connected_graph
+from oracles import build_grid
 from affinity.solvers import SolverConfig, SolverConvergenceError
 
 

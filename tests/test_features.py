@@ -238,6 +238,11 @@ _MANIFEST_FAULTS += [("json", "manifest_not_an_object"),
                      ("json", "arrays_not_an_object"),
                      ("json", "edge_index_not_numbers"),
                      ("json", "edge_er_not_numbers")]
+# the manifest names the tables: one it lists must exist, and each family it
+# lists must be known (json holds a matching "bogus" table too)
+_MANIFEST_FAULTS += [(fmt, fault) for fault in ["missing_table",
+                                                "unknown_family"]
+                     for fmt in ["json", "csv", "binary"]]
 
 
 @pytest.mark.parametrize("fmt, fault", _MANIFEST_FAULTS,
@@ -269,6 +274,19 @@ def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
     elif fault == "missing_num_edges":
         key = "num_edges"
         del manifest[key]
+        text = json.dumps(doc)
+    elif fault == "missing_table":
+        key = "edge_er"
+        if fmt == "json":
+            del doc["arrays"][key]
+        else:
+            next(target.glob(f"{key}.*")).unlink()
+        text = json.dumps(doc)
+    elif fault == "unknown_family":
+        key = "bogus"
+        manifest["families"].append(key)
+        if fmt == "json":
+            doc["arrays"][key] = doc["arrays"]["edge_embedding"]
         text = json.dumps(doc)
     else:
         key = "manifest" if fmt == "json" else "families"

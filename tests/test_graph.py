@@ -9,7 +9,7 @@ from affinity.graph import (CrossComponentError, GraphInputError,
                             build_graph, graph_from_edgelist, graph_from_json,
                             graph_to_json_dict, load_graph,
                             stationary_distribution)
-from affinity.oracle import disjoint_union
+from oracles import disjoint_union
 from affinity.solvers import dense_laplacian, laplacian_csr
 
 

@@ -16,8 +16,8 @@ from affinity.measures import (AffinityTable, commute_time,
                                hitting_time_via_embedding,
                                tetali_hitting_time)
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
-                             disjoint_union, grounded_hitting_times,
-                             random_connected_graph, spd_bellman_ford)
+                             grounded_hitting_times, random_connected_graph)
+from oracles import disjoint_union, spd_bellman_ford
 
 
 def test_triangle_resistance():
@@ -70,6 +70,26 @@ def test_pair_measures_share_one_node_pair_check():
             measure(g, 0, -1)
         with pytest.raises(CrossComponentError, match="nodes 2 and 3"):
             measure(g, 2, 3)
+
+
+def test_measures_reject_non_integer_node_ids():
+    # a float id used to be truncated: Res(0.5, 3) came back as Res(0, 3)
+    g = build_path(4)
+    emb = exact_embedding(g)
+    res = AffinityTable.exact(g).res
+    pi = stationary_distribution(g)
+    for measure in (effective_resistance, commute_time,
+                    lambda g, u, v: hitting_time_via_embedding(emb, g, u, v),
+                    lambda g, u, v: tetali_hitting_time(g, res, pi, u, v)):
+        with pytest.raises(ValueError, match=r"u=0\.5 is not an integer"):
+            measure(g, 0.5, 3)
+        with pytest.raises(ValueError, match=r"v=2\.7 is not an integer"):
+            measure(g, 0, 2.7)
+        assert measure(g, np.int64(0), np.int32(3)) == measure(g, 0, 3)
+    with pytest.raises(ValueError, match=r"target=1\.5 is not an integer"):
+        hitting_time_exact(g, 1.5)
+    assert np.array_equal(hitting_time_exact(g, np.int64(3)),
+                          hitting_time_exact(g, 3))
 
 
 def test_resistance_bounded_by_shortest_path(corpus_small):

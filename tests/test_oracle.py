@@ -5,12 +5,14 @@ import pytest
 
 from affinity.graph import CrossComponentError, build_graph
 from affinity.measures import hitting_time_exact
-from affinity.oracle import (WITNESS_EDGES, automorphism_orbits,
-                             broken_cycle_resistance, build_cycle, build_path,
-                             counterexample_pair, cycle_resistance,
-                             find_witness_graph, grounded_hitting_times,
-                             mc_hitting_time, random_connected_graph,
-                             spd_bellman_ford, witness_graph)
+from affinity.oracle import (WITNESS_EDGES, _cubic_graphs_8,
+                             automorphism_orbits, broken_cycle_resistance,
+                             build_cycle, build_path, counterexample_pair,
+                             cycle_resistance, find_witness_graph,
+                             grounded_hitting_times, random_connected_graph,
+                             witness_graph)
+from oracles import (automorphism_orbits as vf2_automorphism_orbits,
+                     mc_hitting_time, spd_bellman_ford)
 
 
 def test_mc_single_edge_is_exact():
@@ -180,6 +182,21 @@ def test_automorphism_orbits_cycle_and_path():
     assert np.all(automorphism_orbits(build_cycle(6)) == 0)
     orbits = automorphism_orbits(build_path(4))
     assert orbits.tolist() == [0, 1, 1, 0]
+
+
+def test_automorphism_orbits_match_vf2():
+    cubic = [build_graph(8, edges) for edges in _cubic_graphs_8()]
+    graphs = [g for g in cubic if g.num_components == 1]
+    graphs += [build_path(n) for n in range(3, 9)]
+    graphs += [build_cycle(n) for n in range(3, 9)]
+    for g in graphs:
+        assert np.array_equal(automorphism_orbits(g),
+                              vf2_automorphism_orbits(g))
+
+
+def test_automorphism_orbits_refuse_more_than_eight_nodes():
+    with pytest.raises(ValueError, match="at most 8 nodes, got 9"):
+        automorphism_orbits(build_path(9))
 
 
 def test_witness_fixture_is_cubic_and_connected():

@@ -1,6 +1,8 @@
 """The package's public namespace."""
 
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -34,3 +36,12 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is a test-only dependency; the package and its CLI never load it
+    code = ("import sys, affinity, affinity.cli; "
+            "print(affinity.__file__, 'networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [af.__file__, "False"]

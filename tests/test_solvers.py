@@ -16,8 +16,8 @@ from affinity.solvers import (PseudoinverseRankError, SolverConfig,
 from affinity.embeddings import sketched_embedding
 from affinity.measures import (AffinityTable, effective_resistance,
                                hitting_time_exact)
-from affinity.oracle import (build_grid, build_path, disjoint_union,
-                             random_connected_graph)
+from affinity.oracle import build_path, random_connected_graph
+from oracles import build_grid, disjoint_union
 
 
 def test_config_validation():
