@@ -302,9 +302,9 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
 
     Raises:
         GraphInputError: naming the file, when it is malformed, lacks a key
-            or a table, lists a family outside ``FAMILIES``, holds a table of
-            non-numbers, or a table holds a different number of values than
-            the manifest gives.
+            or a table, lists a family outside ``FAMILIES``, gives a negative
+            or non-integer size, holds a table of non-numbers, or a table
+            holds a different number of values than the manifest gives.
     """
     path = Path(path)
     if fmt == "json":
@@ -327,10 +327,17 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
                         f"{source}: {key!r} must be a JSON object")
         manifest = doc["manifest"] if fmt == "json" else doc
         families = manifest["families"]
-        unknown = [name for name in families if name not in FAMILIES]
-        if unknown:
-            raise GraphInputError(f"{source}: unknown families {unknown}; "
-                                  f"valid: {list(FAMILIES)}")
+        if not isinstance(families, list) or not all(
+                isinstance(name, str) and name in FAMILIES for name in families):
+            raise GraphInputError(f"{source}: 'families' must be a list of "
+                                  f"names in {list(FAMILIES)}, got {families!r}")
+        sizes = ["num_nodes", "num_edges"]
+        if any(name.endswith("embedding") for name in families):
+            sizes.append("embedding_dim")
+        for key in sizes:
+            if type(manifest[key]) is not int or manifest[key] < 0:
+                raise GraphInputError(f"{source}: {key!r} must be a "
+                                      f"non-negative int, got {manifest[key]!r}")
         if fmt == "json":
             raw = {"edge_index": doc["edge_index"],
                    **{name: doc["arrays"][name] for name in families}}

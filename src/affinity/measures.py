@@ -26,18 +26,18 @@ from .solvers import (SolverConfig, _component_sums, dense_pseudoinverse,
                       solve_laplacian)
 
 
-def _check_node(graph: Graph, node: int, name: str) -> int:
-    if not isinstance(node, (int, np.integer)):
+def _check_node(num_nodes: int, node: int, name: str) -> int:
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
         raise ValueError(f"{name}={node!r} is not an integer node id")
-    if not 0 <= node < graph.num_nodes:
-        raise ValueError(f"{name}={node!r} outside 0..{graph.num_nodes - 1}")
+    if not 0 <= node < num_nodes:
+        raise ValueError(f"{name}={node!r} outside 0..{num_nodes - 1}")
     return int(node)
 
 
 def _check_pair(graph: Graph, u: int, v: int) -> tuple[int, int]:
     """Range-check u and v; distinct nodes must share a component."""
-    u = _check_node(graph, u, "u")
-    v = _check_node(graph, v, "v")
+    u = _check_node(graph.num_nodes, u, "u")
+    v = _check_node(graph.num_nodes, v, "v")
     if u != v and not graph.same_component(u, v):
         raise CrossComponentError(
             f"nodes {u} and {v} lie in different connected components; "
@@ -64,9 +64,8 @@ def effective_resistance(graph: Graph, u: int, v: int,
 def effective_resistance_from_embedding(embedding: ResistiveEmbedding,
                                         u: int, v: int) -> float:
     """Squared embedding distance ||r_u - r_v||^2."""
-    n = embedding.num_nodes
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"nodes ({u}, {v}) outside 0..{n - 1}")
+    u = _check_node(embedding.num_nodes, u, "u")
+    v = _check_node(embedding.num_nodes, v, "v")
     diff = embedding.vectors[u] - embedding.vectors[v]
     return float(diff @ diff)
 
@@ -89,7 +88,7 @@ def hitting_time_exact(graph: Graph, target: int,
     solution for that right-hand side (zero elsewhere) h = y - y_t. Entries
     outside the target's component are +inf; the target's own entry is 0.
     """
-    target = _check_node(graph, target, "target")
+    target = _check_node(graph.num_nodes, target, "target")
     label = int(graph.component_of[target])
     on_comp = graph.component_of == label
     rhs = np.where(on_comp, graph.degrees, 0.0)

@@ -12,11 +12,11 @@ route, once, before anything is factored:
   removed), factored once per graph and cached;
 - all others (expanders, whose factors fill in densely) run block
   preconditioned conjugate gradient (Jacobi preconditioner) against the
-  sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph,
-  with the nullspace of component indicator vectors projected out of the
-  right-hand side and re-projected every iteration.
+  sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph.
 
-Both sparse routes check each column's residual against
+Every route solves for the right-hand side with the nullspace of component
+indicator vectors projected out. Both sparse routes project the solution once
+more and check each column's true residual against
 :attr:`SolverConfig.rel_tolerance`; PCG alone has an iteration cap.
 """
 
@@ -60,7 +60,7 @@ DIRECT_PROFILE_EXPONENT = 1.5
 
 class SolverConvergenceError(RuntimeError):
     """A sparse solve missed its residual tolerance: PCG within its
-    iteration cap, or the sparse LU route after its one solve.
+    iteration cap, or either sparse route's closing true-residual check.
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -85,8 +85,9 @@ class SolverConfig:
     neither.
 
     Attributes:
-        rel_tolerance: both sparse routes must reach
-            ||L x - b|| <= rel_tolerance * ||b|| per column; PCG stops there.
+        rel_tolerance: both sparse routes must reach the true residual
+            ||L x - b|| <= rel_tolerance * ||b|| per column; PCG stops when
+            its recurrence residual gets there.
         max_iterations: PCG iteration cap; None means 10*sqrt(n) + 200. The
             sparse LU route does not iterate and ignores it.
     """
@@ -189,13 +190,15 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
 
 
 def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
-        rel_tolerance: float, max_iterations: int,
-        project) -> tuple[np.ndarray, int]:
+        rel_tolerance: float, max_iterations: int) -> tuple[np.ndarray, int]:
     """Block preconditioned conjugate gradient with per-column convergence.
 
     Each right-hand-side column converges (and freezes) independently, so
     results do not depend on how columns are batched. Columns with zero
-    right-hand side return zero immediately.
+    right-hand side return zero immediately. A singular semidefinite operator
+    needs right-hand sides in its range only (Kaasschieter, J. Comput. Appl.
+    Math. 24, 1988); the iterate may gather a nullspace part, which the
+    caller removes.
 
     Args:
         matvec: callable mapping an (n, k) block to A times that block.
@@ -203,8 +206,6 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rhs: (n, k) right-hand sides.
         rel_tolerance: per-column relative residual target.
         max_iterations: iteration cap.
-        project: callable applied to the iterate and residual each step
-            (used to pin down the Laplacian nullspace).
 
     Returns:
         (solution block, iterations used).
@@ -240,7 +241,6 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
             resid = resid[keep]
             x = x[:, keep]
             r = r[:, keep]
-            z = z[:, keep]
             p = p[:, keep]
             rz = rz[keep]
         if iterations == max_iterations:
@@ -257,8 +257,6 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=pap > 0)
         x += p * alpha
         r -= ap * alpha
-        x = project(x)
-        r = project(r)
         z = precond_diag_inv[:, None] * r
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = rz_new / rz
@@ -298,27 +296,6 @@ def _grounded_factor(graph: Graph):
     return factor
 
 
-def _direct_solve(graph: Graph, factor, rhs: np.ndarray,
-                  rel_tolerance: float) -> np.ndarray:
-    """Solve L x = rhs (rhs already in the range of L) with the grounded
-    factor, re-project onto the range, and check every column's residual."""
-    keep, lu = factor
-    x = np.zeros_like(rhs)
-    x[keep] = lu.solve(rhs[keep])
-    x = project_out_nullspace(graph, x)
-    resid = np.linalg.norm(laplacian_csr(graph) @ x - rhs, axis=0)
-    bnorm = np.linalg.norm(rhs, axis=0)
-    failed = np.flatnonzero(resid > rel_tolerance * bnorm)
-    if failed.size:
-        rel = resid[failed] / bnorm[failed]
-        raise SolverConvergenceError(
-            f"sparse LU missed tolerance {rel_tolerance:g} on {failed.size} "
-            f"column(s); worst relative residual {float(rel.max()):.3e} at "
-            f"column {int(failed[np.argmax(rel)])}",
-            residuals=rel, columns=failed)
-    return x
-
-
 def solve_laplacian(graph: Graph, b: np.ndarray,
                     config: SolverConfig | None = None) -> np.ndarray:
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
@@ -328,9 +305,10 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     the cached dense pseudoinverse. Larger graphs whose reverse Cuthill-McKee
     profile is at most n ** :data:`DIRECT_PROFILE_EXPONENT` solve with the
     cached sparse LU of the grounded Laplacian; all others run
-    Jacobi-preconditioned block CG with nullspace re-projection each
-    iteration. Both sparse routes must reach ``config.rel_tolerance`` on
-    every column; ``config.max_iterations`` caps PCG only.
+    Jacobi-preconditioned block CG. Either sparse route's solution is
+    projected onto the range of L once, and every column's true residual
+    must then meet ``config.rel_tolerance``; ``config.max_iterations`` caps
+    PCG only.
 
     Raises:
         SolverConvergenceError: when a sparse route misses the tolerance.
@@ -346,12 +324,27 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     n = graph.num_nodes
     if n < DENSE_SOLVE_NODES:
         x = dense_pseudoinverse(graph) @ projected
-    elif (factor := _grounded_factor(graph)) is not None:
-        x = _direct_solve(graph, factor, projected, config.rel_tolerance)
+        return x[:, 0] if single else x
+    lap = laplacian_csr(graph)
+    if (factor := _grounded_factor(graph)) is not None:
+        route = "sparse LU"
+        keep, lu = factor
+        x = np.zeros_like(projected)
+        x[keep] = lu.solve(projected[keep])
     else:
-        lap = laplacian_csr(graph)
+        route = "PCG"
         safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)
         x, _ = pcg(lambda block: lap @ block, 1.0 / safe_deg, projected,
-                   config.rel_tolerance, config.iteration_cap(n),
-                   project=lambda block: project_out_nullspace(graph, block))
+                   config.rel_tolerance, config.iteration_cap(n))
+    x = project_out_nullspace(graph, x)
+    resid = np.linalg.norm(lap @ x - projected, axis=0)
+    bnorm = np.linalg.norm(projected, axis=0)
+    failed = np.flatnonzero(resid > config.rel_tolerance * bnorm)
+    if failed.size:
+        rel = resid[failed] / bnorm[failed]
+        raise SolverConvergenceError(
+            f"{route} missed tolerance {config.rel_tolerance:g} on "
+            f"{failed.size} column(s); worst relative residual "
+            f"{float(rel.max()):.3e} at column {int(failed[np.argmax(rel)])}",
+            residuals=rel, columns=failed)
     return x[:, 0] if single else x

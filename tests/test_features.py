@@ -239,9 +239,13 @@ _MANIFEST_FAULTS += [("json", "manifest_not_an_object"),
                      ("json", "edge_index_not_numbers"),
                      ("json", "edge_er_not_numbers")]
 # the manifest names the tables: one it lists must exist, and each family it
-# lists must be known (json holds a matching "bogus" table too)
+# lists must be known (json holds a matching "bogus" table too); families
+# must be a list of names, and the sizes the loader reads non-negative ints
 _MANIFEST_FAULTS += [(fmt, fault) for fault in ["missing_table",
-                                                "unknown_family"]
+                                                "unknown_family",
+                                                "families_not_a_list",
+                                                "num_nodes_not_an_int",
+                                                "embedding_dim_null"]
                      for fmt in ["json", "csv", "binary"]]
 
 
@@ -287,6 +291,13 @@ def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
         manifest["families"].append(key)
         if fmt == "json":
             doc["arrays"][key] = doc["arrays"]["edge_embedding"]
+        text = json.dumps(doc)
+    elif fault in ("families_not_a_list", "num_nodes_not_an_int",
+                   "embedding_dim_null"):
+        key, value = {"families_not_a_list": ("families", 5),
+                      "num_nodes_not_an_int": ("num_nodes", "x"),
+                      "embedding_dim_null": ("embedding_dim", None)}[fault]
+        manifest[key] = value
         text = json.dumps(doc)
     else:
         key = "manifest" if fmt == "json" else "families"

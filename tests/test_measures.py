@@ -12,8 +12,9 @@ from affinity.features import assemble_features
 from affinity.graph import CrossComponentError, build_graph, \
     stationary_distribution
 from affinity.measures import (AffinityTable, commute_time,
-                               effective_resistance, hitting_time_exact,
-                               hitting_time_via_embedding,
+                               effective_resistance,
+                               effective_resistance_from_embedding,
+                               hitting_time_exact, hitting_time_via_embedding,
                                tetali_hitting_time)
 from affinity.oracle import (build_cycle, build_path, cycle_resistance,
                              grounded_hitting_times, random_connected_graph)
@@ -73,21 +74,27 @@ def test_pair_measures_share_one_node_pair_check():
 
 
 def test_measures_reject_non_integer_node_ids():
-    # a float id used to be truncated: Res(0.5, 3) came back as Res(0, 3)
+    # a float id used to be truncated: Res(0.5, 3) came back as Res(0, 3);
+    # True, an int to Python, came back as Res(1, 3)
     g = build_path(4)
     emb = exact_embedding(g)
     res = AffinityTable.exact(g).res
     pi = stationary_distribution(g)
     for measure in (effective_resistance, commute_time,
+                    lambda g, u, v: effective_resistance_from_embedding(emb, u, v),
                     lambda g, u, v: hitting_time_via_embedding(emb, g, u, v),
                     lambda g, u, v: tetali_hitting_time(g, res, pi, u, v)):
         with pytest.raises(ValueError, match=r"u=0\.5 is not an integer"):
             measure(g, 0.5, 3)
         with pytest.raises(ValueError, match=r"v=2\.7 is not an integer"):
             measure(g, 0, 2.7)
+        with pytest.raises(ValueError, match=r"u=True is not an integer"):
+            measure(g, True, 3)
         assert measure(g, np.int64(0), np.int32(3)) == measure(g, 0, 3)
     with pytest.raises(ValueError, match=r"target=1\.5 is not an integer"):
         hitting_time_exact(g, 1.5)
+    with pytest.raises(ValueError, match=r"target=True is not an integer"):
+        hitting_time_exact(g, True)
     assert np.array_equal(hitting_time_exact(g, np.int64(3)),
                           hitting_time_exact(g, 3))
 
