@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 
-from .graph import Graph, stationary_distribution
+from .graph import Graph, _is_int
 from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
                       solve_laplacian)
 
@@ -30,17 +30,18 @@ from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
 class ResistiveEmbedding:
     """Per-node embedding whose squared distances approximate resistances.
 
+    It keeps no stationary mean: hitting times derive it from ``vectors``
+    per call, so replacing the vectors (say, rotated) keeps them consistent.
+
     Attributes:
         vectors: (n, dim) float64, one row per node.
         kind: "exact" or "sketched".
-        mean: stationary-weighted mean row, sum_u pi_u vectors[u].
         epsilon: distortion parameter of the sketch (None when exact).
         seed: sketch seed (None when exact).
     """
 
     vectors: np.ndarray
     kind: str
-    mean: np.ndarray
     epsilon: float | None = None
     seed: int | None = None
 
@@ -90,14 +91,7 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
     pinv = dense_pseudoinverse(graph)
     scaled_incidence = _incidence_with_conductance(graph)
     vectors = np.ascontiguousarray((scaled_incidence @ pinv).T)
-    mean = _stationary_mean(graph, vectors)
-    return ResistiveEmbedding(vectors=vectors, kind="exact", mean=mean)
-
-
-def _stationary_mean(graph: Graph, vectors: np.ndarray) -> np.ndarray:
-    if graph.total_weight <= 0:
-        return np.zeros(vectors.shape[1])
-    return stationary_distribution(graph) @ vectors
+    return ResistiveEmbedding(vectors=vectors, kind="exact")
 
 
 def sketched_embedding(graph: Graph, epsilon: float, seed: int,
@@ -122,10 +116,10 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
     """
     if graph.num_edges < 1:
         raise ValueError("sketched embedding needs at least one edge")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    if not _is_int(chunk_size) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n = graph.num_nodes
     m = graph.num_edges
     k = jl_dimension(n, m, epsilon)  # validates epsilon too
@@ -155,8 +149,7 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
                 f"not converge, worst at row {rows[worst]}: {exc}",
                 residuals=exc.residuals, columns=rows) from exc
 
-    mean = _stationary_mean(graph, vectors)
-    return ResistiveEmbedding(vectors=vectors, kind="sketched", mean=mean,
+    return ResistiveEmbedding(vectors=vectors, kind="sketched",
                               epsilon=float(epsilon), seed=int(seed))
 
 

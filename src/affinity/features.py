@@ -103,9 +103,8 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     if "edge_er" in requested:
         arrays["edge_er"] = np.einsum("ij,ij->i", diffs, diffs)
     if "edge_ht" in requested:
-        arrays["edge_ht"] = np.column_stack([
-            _pair_hitting_times(embedding, graph, graph.edge_u, graph.edge_v),
-            _pair_hitting_times(embedding, graph, graph.edge_v, graph.edge_u)])
+        arrays["edge_ht"] = _pair_hitting_times(embedding, graph, graph.edge_u,
+                                                graph.edge_v)
     if "node_embedding" in requested:
         arrays["node_embedding"] = embedding.vectors
     if "edge_embedding" in requested:

@@ -73,15 +73,20 @@ class Graph:
                 f"total_weight={self.total_weight:g})")
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split an edge sequence into (u, v, w) columns, defaulting weights to 1."""
     if isinstance(edges, np.ndarray):
         if edges.size == 0:
             return (np.zeros(0, np.int64), np.zeros(0, np.int64),
                     np.zeros(0, np.float64))
-        if edges.ndim != 2 or edges.shape[1] not in (2, 3):
-            raise GraphInputError(
-                f"edge array must have shape (m, 2) or (m, 3), got {edges.shape}")
+        if edges.dtype == bool or edges.ndim != 2 or edges.shape[1] not in (2, 3):
+            raise GraphInputError(f"edge array must be numeric of shape (m, 2) "
+                                  f"or (m, 3), got {edges.dtype} {edges.shape}")
         ucol = edges[:, 0]
         vcol = edges[:, 1]
         wcol = edges[:, 2].astype(np.float64) if edges.shape[1] == 3 \
@@ -104,6 +109,11 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         us.append(u)
         vs.append(v)
         ws.append(w)
+    values = us + vs + ws
+    if {bool, np.bool_} & set(map(type, values)):
+        bad = [type(x) in (bool, np.bool_) for x in values].index(True) % len(us)
+        raise GraphInputError(f"edge {bad}: {(us[bad], vs[bad], ws[bad])!r} "
+                              f"holds a boolean")
     return (np.asarray(us, dtype=np.float64) if us else np.zeros(0, np.int64),
             np.asarray(vs, dtype=np.float64) if vs else np.zeros(0, np.int64),
             np.asarray(ws, dtype=np.float64))
@@ -133,7 +143,7 @@ def build_graph(num_nodes: int, edges) -> Graph:
         GraphInputError: on out-of-range ids, self-loops, or weights that
             are not finite and strictly positive.
     """
-    if not isinstance(num_nodes, (int, np.integer)) or num_nodes < 0:
+    if not _is_int(num_nodes) or num_nodes < 0:
         raise GraphInputError(f"num_nodes must be a non-negative int, got {num_nodes!r}")
     num_nodes = int(num_nodes)
 

@@ -5,13 +5,12 @@ Exact hitting times are closed forms in the Laplacian pseudoinverse:
 H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv), so the all-pairs table
 costs one cached eigendecomposition plus O(n^2), and one target's column is
 one Laplacian solve against d - 2M e_t. Embedding-based ones use
-H(u, v) = 2M <r_v - r_u, r_v - p> with the stationary mean p. The identity
-lives in two helpers, both with M and p taken per connected component:
-:func:`_pair_hitting_times` evaluates the vector form for arrays of pairs
-(single queries and every edge of a feature set), and :func:`_hitting_table`
-evaluates the Gram form for all pairs, with L+ or the embedding's Gram
-matrix. Tetali's resistance formula is implemented separately as a third
-route for cross-checking.
+H(u, v) = 2M <r_v - r_u, r_v - p> = 2M (G_vv - G_uv - a_v + a_u), with G
+the Gram matrix and a_u = <r_u, p>. Every graph takes one per-component path:
+M and p of the pair's component come from :func:`_component_masses` and
+``_component_sums``; :func:`_pair_hitting_times` evaluates arrays of pairs,
+:func:`_hitting_table` all pairs from L+ or V V^T. Tetali's resistance
+formula is a third, independent route for cross-checking.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import ResistiveEmbedding
-from .graph import CrossComponentError, Graph
+from .graph import CrossComponentError, Graph, _is_int
 from .solvers import (SolverConfig, _component_sums, dense_pseudoinverse,
                       solve_laplacian)
 
 
 def _check_node(num_nodes: int, node: int, name: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+    if not _is_int(node):
         raise ValueError(f"{name}={node!r} is not an integer node id")
     if not 0 <= node < num_nodes:
         raise ValueError(f"{name}={node!r} outside 0..{num_nodes - 1}")
@@ -101,8 +100,6 @@ def hitting_time_exact(graph: Graph, target: int,
 
 def _component_masses(graph: Graph) -> np.ndarray:
     """Edge mass M of every connected component, indexed by label."""
-    if graph.num_components <= 1:
-        return np.array([graph.total_weight])
     # bincount of an empty array is int64 whatever the weights
     return np.bincount(graph.component_of[graph.edge_u], weights=graph.edge_w,
                        minlength=graph.num_components).astype(np.float64)
@@ -111,24 +108,23 @@ def _component_masses(graph: Graph) -> np.ndarray:
 def _pair_hitting_times(embedding: ResistiveEmbedding, graph: Graph,
                         sources: np.ndarray,
                         targets: np.ndarray) -> np.ndarray:
-    """H(u, v) = 2M <r_v - r_u, r_v - p> for arrays of same-component pairs
-    (u, v) = (sources[i], targets[i]), with the edge mass M and stationary
-    mean p of the pair's component."""
+    """(len, 2) hitting times [H(u, v), H(v, u)] of the same-component pairs
+    (u, v) = (sources[i], targets[i]): H(u, v) = 2M (<r_v - r_u, r_v> - a_v
+    + a_u), with a_u = <r_u, p> computed once per node, so that only scalars
+    are gathered per pair."""
     vecs = embedding.vectors
-    if graph.num_components <= 1:
-        mass, mean = graph.total_weight, embedding.mean
-    else:
-        masses = _component_masses(graph)
-        sums = _component_sums(graph, vecs, graph.degrees)
-        # edgeless components have no pairs; leave their mean at zero
-        means = np.divide(sums, 2.0 * masses[:, None],
-                          out=np.zeros_like(sums), where=masses[:, None] > 0)
-        comp = graph.component_of[targets]
-        mass, mean = masses[comp], means[comp]
-    ends = vecs[targets]
-    diff = ends - vecs[sources]
-    ends -= mean
-    return 2.0 * mass * np.einsum("ij,ij->i", diff, ends)
+    comp = graph.component_of
+    two_mass = 2.0 * _component_masses(graph)[comp]
+    sums = _component_sums(graph, vecs, graph.degrees)
+    # an isolated node is in no pair; leave its stationary term at zero
+    a = np.divide(np.einsum("ij,ij->i", vecs, sums[comp]), two_mass,
+                  out=np.zeros(graph.num_nodes), where=two_mass > 0)
+    ends, starts = vecs[targets], vecs[sources]
+    diff = ends - starts
+    gap = a[sources] - a[targets]
+    return two_mass[targets][:, None] * np.column_stack(
+        [np.einsum("ij,ij->i", diff, ends) + gap,
+         -np.einsum("ij,ij->i", diff, starts) - gap])
 
 
 def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
@@ -147,7 +143,7 @@ def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
     if u == v:
         return 0.0
     return float(_pair_hitting_times(embedding, graph, np.array([u]),
-                                     np.array([v]))[0])
+                                     np.array([v]))[0, 0])
 
 
 def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
@@ -192,26 +188,23 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
 def _hitting_table(graph: Graph, gram: np.ndarray) -> tuple[np.ndarray, float]:
     """(hit, h_max) from an (n, n) Gram matrix G: L+ or embedding products.
 
-    Per component, with a = G d / 2M, hit[u, v] = 2M (G_vv - G_uv - a_v + a_u);
-    +inf across components, 0 on the diagonal; h_max is the largest finite
-    entry.
+    hit[u, v] = 2M (G_vv - G_uv - a_v + a_u), with M the edge mass of the
+    pair's component and a_u = (G d)_u / 2M summed over u's component only,
+    since a sketch's Gram has entries across components; +inf across
+    components, 0 on the diagonal; h_max is the largest finite entry.
     """
     n = graph.num_nodes
-    hit = np.full((n, n), np.inf)
-    masses = _component_masses(graph)
-    for label in range(graph.num_components):
-        nodes = graph.component_nodes(label)
-        if nodes.size < 2:
-            continue
-        mass = masses[label]
-        block = np.ix_(nodes, nodes)
-        g = gram[block]
-        a = g @ graph.degrees[nodes] / (2.0 * mass)
-        hit[block] = 2.0 * mass * (np.diag(g)[None, :] - g - a[None, :]
-                                   + a[:, None])
+    comp = graph.component_of
+    two_mass = 2.0 * _component_masses(graph)[comp]
+    # row c(u), column u of the per-component sums is (G d)_u on u's component
+    own = _component_sums(graph, gram, graph.degrees)[comp, np.arange(n)]
+    a = np.divide(own, two_mass, out=np.zeros(n), where=two_mass > 0)
+    hit = two_mass[:, None] * (np.diag(gram)[None, :] - gram - a[None, :]
+                               + a[:, None])
+    hit[comp[:, None] != comp[None, :]] = np.inf
     np.fill_diagonal(hit, 0.0)
-    finite = hit[np.isfinite(hit)]
-    return hit, float(finite.max()) if finite.size else 0.0
+    # the zero diagonal keeps the maximum of the finite entries at least 0
+    return hit, float(np.max(hit, where=np.isfinite(hit), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -243,20 +236,20 @@ class AffinityTable:
         linear solve runs. The graph must be within the pseudoinverse's node
         cap."""
         pinv = dense_pseudoinverse(graph)
-        diag = np.diag(pinv)
-        res = diag[:, None] + diag[None, :] - 2.0 * pinv
-        np.fill_diagonal(res, 0.0)
-        cross = graph.component_of[:, None] != graph.component_of[None, :]
-        res[cross] = np.inf
         hit, h_max = _hitting_table(graph, pinv)
+        diag = np.diag(pinv)
+        # both tables are infinite exactly across components
+        res = np.where(np.isinf(hit), np.inf,
+                       diag[:, None] + diag[None, :] - 2.0 * pinv)
+        np.fill_diagonal(res, 0.0)
         return cls(res=res, hit=hit, h_max=h_max,
                    total_weight=graph.total_weight, kind="exact")
 
     @classmethod
     def approximate(cls, embedding: ResistiveEmbedding,
                     graph: Graph) -> "AffinityTable":
-        """All-pairs hitting estimates from a sketched embedding via Gram
-        matrix algebra; runs per connected component."""
+        """All-pairs hitting times from an embedding's Gram matrix V V^T:
+        estimates for a sketch, exact for :func:`exact_embedding`."""
         if embedding.num_nodes != graph.num_nodes:
             raise ValueError("embedding and graph disagree on node count")
         vecs = embedding.vectors

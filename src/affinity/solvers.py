@@ -31,7 +31,7 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .graph import Graph
+from .graph import Graph, _is_int
 
 _PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
     weakref.WeakKeyDictionary()
@@ -98,8 +98,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.rel_tolerance < 1):
             raise ValueError("rel_tolerance must be in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            if not _is_int(self.max_iterations) or self.max_iterations < 1:
+                raise ValueError(f"max_iterations must be None or an int "
+                                 f">= 1, got {self.max_iterations!r}")
+            # a plain int keeps the manifest JSON-serializable
+            object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
     def iteration_cap(self, n: int) -> int:
         if self.max_iterations is not None:
@@ -124,7 +128,7 @@ def _component_sums(graph: Graph, mat: np.ndarray,
     """Per-component sums of the node-weighted rows of mat, summed in node
     order by one (components x n) indicator product."""
     n = graph.num_nodes
-    return sparse.csr_matrix((weights, (graph.component_of, np.arange(n))),
+    return sparse.csc_matrix((weights, graph.component_of, np.arange(n + 1)),
                              shape=(graph.num_components, n)) @ mat
 
 
@@ -141,13 +145,9 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     if mat.shape[0] != graph.num_nodes:
         raise ValueError(f"expected leading dimension {graph.num_nodes}, "
                          f"got {mat.shape[0]}")
-    if graph.num_components <= 1:
-        out = mat - mat.mean(axis=0, keepdims=True)
-    else:
-        comp = graph.component_of
-        counts = np.bincount(comp, minlength=graph.num_components).astype(float)
-        sums = _component_sums(graph, mat, np.ones(graph.num_nodes))
-        out = mat - (sums / counts[:, None])[comp]
+    counts = np.bincount(graph.component_of, minlength=graph.num_components)
+    sums = _component_sums(graph, mat, np.ones(graph.num_nodes))
+    out = mat - (sums / counts[:, None])[graph.component_of]
     return out[:, 0] if single else out
 
 

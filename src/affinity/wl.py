@@ -132,16 +132,20 @@ def quantize_edge_values(values, tolerance: float = QUANTIZE_TOL) -> np.ndarray:
 
     Values within ``tolerance`` of each other (transitively, via sorted gap
     clustering) receive the same id, so measure ties survive rounding noise.
-    A 2-D input is clustered per column independently.
+    A 2-D input is clustered per column independently. A NaN value, which
+    has no place in the order, or a tolerance that is not finite and
+    positive raises ValueError.
 
     Returns:
         (m,) int ids for 1-D input; (m, d) ids for 2-D input, which for
         d == 2 can be passed straight to :func:`wl_refine` as
         direction-dependent edge colors.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    if not (0 < tolerance < np.inf):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     arr = np.asarray(values, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise ValueError("values must not be NaN")
     if arr.ndim == 1:
         return _cluster_column(arr, tolerance)
     if arr.ndim == 2:

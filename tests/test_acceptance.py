@@ -358,8 +358,7 @@ def test_rotation_invariance_of_derived_measures():
             eye_gap = rot.T @ rot - np.eye(dim)
             worst_orth = max(worst_orth, float(np.max(np.abs(eye_gap))))
             rotated = dataclasses.replace(embedding,
-                                          vectors=embedding.vectors @ rot.T,
-                                          mean=embedding.mean @ rot.T)
+                                          vectors=embedding.vectors @ rot.T)
             if embedding is emb:
                 gram = rotated.vectors @ rotated.vectors.T
                 s = np.diag(gram)

@@ -73,6 +73,17 @@ def test_bad_weights_rejected(weight):
 def test_non_integer_endpoint_rejected():
     with pytest.raises(GraphInputError, match="not an integer"):
         build_graph(3, np.array([[0.5, 1.0, 1.0]]))
+    # bool is an int to Python and numpy; none of these may build a graph
+    with pytest.raises(GraphInputError, match="num_nodes"):
+        build_graph(True, [])
+    with pytest.raises(GraphInputError, match="edge 1: .* boolean"):
+        build_graph(3, [(0, 1), (True, 2)])
+    with pytest.raises(GraphInputError, match="edge 0: .* boolean"):
+        build_graph(3, [(0, 2, True)])
+    with pytest.raises(GraphInputError, match="boolean"):
+        build_graph(3, [(0, np.bool_(True))])
+    with pytest.raises(GraphInputError, match="numeric"):
+        build_graph(2, np.array([[True, False]]))
 
 
 def test_components_two_islands():

@@ -1,5 +1,6 @@
 """Effective resistances, hitting/commute times, and the affinity tables."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import affinity.measures as measures
 from affinity import solvers
-from affinity.embeddings import exact_embedding, sketched_embedding
+from affinity.embeddings import (exact_embedding, random_rotation,
+                                 sketched_embedding)
 from affinity.features import assemble_features
 from affinity.graph import CrossComponentError, build_graph, \
     stationary_distribution
@@ -325,3 +327,42 @@ def test_embedding_hitting_times_match_grounded_oracle_across_components():
                        rtol=1e-8, atol=0)
     want = [grounded[u, v] for u, v in pairs]
     assert np.allclose(pointwise, want, rtol=1e-8, atol=0)
+
+
+def test_hitting_times_follow_replaced_vectors_on_a_connected_graph():
+    # a stationary mean cached with the embedding goes stale when the
+    # vectors are replaced: H(0, 5) of the rotated exact embedding read
+    # 29.33 for 29.89 while connected graphs used such a cache
+    g = random_connected_graph(30, 3.0, (0.5, 2.0), seed=5)
+    assert g.num_components == 1
+    for emb in (exact_embedding(g), sketched_embedding(g, 0.5, seed=3)):
+        rot = random_rotation(emb.dim, seed=8)
+        rotated = dataclasses.replace(emb, vectors=emb.vectors @ rot.T)
+        base = AffinityTable.approximate(emb, g).hit
+        assert np.allclose(AffinityTable.approximate(rotated, g).hit, base,
+                           rtol=1e-10, atol=1e-10 * base.max())
+        for u, v in ((0, 5), (7, 2), (29, 0)):
+            want = hitting_time_via_embedding(emb, g, u, v)
+            assert hitting_time_via_embedding(rotated, g, u, v) \
+                == pytest.approx(want, rel=1e-10)
+            assert base[u, v] == pytest.approx(want, rel=1e-10)
+
+
+def test_affinity_table_approximate_across_components():
+    g, _, _ = _three_components()
+    grounded = grounded_hitting_times(g)
+    same = g.component_of[:, None] == g.component_of[None, :]
+    h_max = float(grounded[same].max())
+    exact = AffinityTable.approximate(exact_embedding(g), g)
+    assert np.max(np.abs(exact.hit[same] - grounded[same])) <= 1e-9 * h_max
+    # a sketch's Gram has entries across components, which the stationary
+    # term must leave out
+    eps = 0.25
+    emb = sketched_embedding(g, eps, seed=4)
+    assert np.abs(emb.vectors[:6] @ emb.vectors[6:10].T).max() > 1e-3
+    sketch = AffinityTable.approximate(emb, g)
+    assert np.max(np.abs(sketch.hit[same] - grounded[same])) \
+        <= 3 * eps * h_max
+    for table in (exact, sketch):
+        assert np.array_equal(np.isfinite(table.hit), same)
+        assert np.all(np.diag(table.hit) == 0.0)

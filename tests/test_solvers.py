@@ -25,6 +25,12 @@ def test_config_validation():
         SolverConfig(rel_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    for bad in (2.5, True, "7"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=bad)
+    numpy_cap = SolverConfig(max_iterations=np.int64(7))
+    assert numpy_cap.iteration_cap(10_000) == 7
+    assert type(numpy_cap.max_iterations) is int
     assert SolverConfig().iteration_cap(10_000) == 10 * 100 + 200
     assert SolverConfig(max_iterations=7).iteration_cap(10_000) == 7
 

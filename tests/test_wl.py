@@ -139,6 +139,14 @@ def test_quantize_vectors_per_column():
 def test_quantize_validation():
     with pytest.raises(ValueError):
         quantize_edge_values(np.array([1.0]), tolerance=0.0)
+    # a NaN tolerance put every value in one class
+    for tolerance in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            quantize_edge_values(np.array([1.0, 2.0, 3.0]), tolerance)
+    # a NaN value joined its neighbour's class: [1, nan, 3] gave [0, 1, 1]
+    for values in ([1.0, float("nan"), 3.0], [[1.0, 2.0], [float("nan"), 2.0]]):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_edge_values(np.array(values))
 
 
 def test_refines_predicate():
