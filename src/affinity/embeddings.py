@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .graph import Graph, _is_int
 from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
@@ -70,17 +69,6 @@ def jl_dimension(num_nodes: int, num_edges: int, epsilon: float) -> int:
     return max(1, k)
 
 
-def _incidence_with_conductance(graph: Graph) -> sparse.csr_matrix:
-    """S = C^(1/2) B as an (m, n) CSR matrix, rows following edge order."""
-    m = graph.num_edges
-    root_w = np.sqrt(graph.edge_w)
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    cols = np.concatenate([graph.edge_u, graph.edge_v])
-    vals = np.concatenate([root_w, -root_w])
-    return sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(m, graph.num_nodes)).tocsr()
-
-
 def exact_embedding(graph: Graph) -> ResistiveEmbedding:
     """Dense m-dimensional resistive embedding via the pseudoinverse.
 
@@ -89,8 +77,9 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
     must be within the pseudoinverse's node cap.
     """
     pinv = dense_pseudoinverse(graph)
-    scaled_incidence = _incidence_with_conductance(graph)
-    vectors = np.ascontiguousarray((scaled_incidence @ pinv).T)
+    root_w = np.sqrt(graph.edge_w)
+    vectors = np.ascontiguousarray(pinv[:, graph.edge_u] * root_w
+                                   - pinv[:, graph.edge_v] * root_w)
     return ResistiveEmbedding(vectors=vectors, kind="exact")
 
 
@@ -157,8 +146,10 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
     """(dim, dim) Haar-ish random rotation: QR of a Gaussian matrix, signs
     fixed so R has a positive diagonal, then one column flipped if needed to
     land in SO(dim)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)

@@ -79,7 +79,9 @@ def _is_int(value) -> bool:
 
 
 def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an edge sequence into (u, v, w) columns, defaulting weights to 1."""
+    """Split an (m, 2) / (m, 3) array, or a sequence of (u, v) / (u, v, w)
+    items of int, float or numpy numbers (not booleans), into (u, v, w)
+    columns, defaulting weights to 1."""
     if isinstance(edges, np.ndarray):
         if edges.size == 0:
             return (np.zeros(0, np.int64), np.zeros(0, np.int64),
@@ -97,7 +99,10 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vs: list = []
     ws: list = []
     for i, item in enumerate(edges):
-        item = tuple(item)
+        try:
+            item = tuple(item)
+        except TypeError:
+            item = (item,)
         if len(item) == 2:
             u, v = item
             w = 1.0
@@ -109,13 +114,19 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         us.append(u)
         vs.append(v)
         ws.append(w)
-    values = us + vs + ws
-    if {bool, np.bool_} & set(map(type, values)):
-        bad = [type(x) in (bool, np.bool_) for x in values].index(True) % len(us)
-        raise GraphInputError(f"edge {bad}: {(us[bad], vs[bad], ws[bad])!r} "
-                              f"holds a boolean")
-    return (np.asarray(us, dtype=np.float64) if us else np.zeros(0, np.int64),
-            np.asarray(vs, dtype=np.float64) if vs else np.zeros(0, np.int64),
+    # judge each distinct type once; scan the edges only to name a bad one
+    bad = {t for t in set(map(type, us + vs + ws))
+           if issubclass(t, (bool, np.bool_))
+           or not issubclass(t, (int, float, np.integer, np.floating))}
+    if bad:
+        i, part = next((i, part) for i, edge in enumerate(zip(us, vs, ws))
+                       for part in edge if type(part) in bad)
+        edge = (us[i], vs[i], ws[i])
+        raise GraphInputError(
+            f"edge {i}: {edge!r} holds a boolean"
+            if isinstance(part, (bool, np.bool_))
+            else f"edge {i}: {part!r} in {edge!r} is not a number")
+    return (np.asarray(us, dtype=np.float64), np.asarray(vs, dtype=np.float64),
             np.asarray(ws, dtype=np.float64))
 
 
@@ -247,21 +258,7 @@ def graph_from_json(text: str | bytes | dict) -> Graph:
     edges_raw = obj["edges"]
     if not isinstance(edges_raw, list):
         raise GraphInputError("'edges' must be a list")
-    edges: list[tuple] = []
-    for i, entry in enumerate(edges_raw):
-        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
-            raise GraphInputError(
-                f"edge {i}: expected [u, v] or [u, v, w], got {entry!r}")
-        for part in entry[:2]:
-            if isinstance(part, bool) or not isinstance(part, (int, float)):
-                raise GraphInputError(
-                    f"edge {i}: endpoint {part!r} is not a number")
-        if len(entry) == 3 and (isinstance(entry[2], bool)
-                                or not isinstance(entry[2], (int, float))):
-            raise GraphInputError(
-                f"edge {i}: weight {entry[2]!r} is not a number")
-        edges.append(tuple(entry))
-    return build_graph(num_nodes, edges)
+    return build_graph(num_nodes, edges_raw)
 
 
 def graph_from_edgelist(text: str) -> Graph:

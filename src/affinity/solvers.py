@@ -189,16 +189,33 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     return pinv
 
 
+def _convergence_error(route: str, rel_tolerance: float, resid: np.ndarray,
+                       bnorm: np.ndarray) -> SolverConvergenceError | None:
+    """The error listing every column whose residual is not within
+    rel_tolerance times its right-hand side's norm, or None if there is
+    none."""
+    failed = np.flatnonzero(~(resid <= rel_tolerance * bnorm))
+    if not failed.size:
+        return None
+    rel = resid[failed] / bnorm[failed]
+    return SolverConvergenceError(
+        f"{route} missed tolerance {rel_tolerance:g} on {failed.size} "
+        f"column(s); worst relative residual {float(rel.max()):.3e} at "
+        f"column {int(failed[np.argmax(rel)])}", residuals=rel, columns=failed)
+
+
 def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rel_tolerance: float, max_iterations: int) -> tuple[np.ndarray, int]:
     """Block preconditioned conjugate gradient with per-column convergence.
 
-    Each right-hand-side column converges (and freezes) independently, so
-    results do not depend on how columns are batched. Columns with zero
-    right-hand side return zero immediately. A singular semidefinite operator
-    needs right-hand sides in its range only (Kaasschieter, J. Comput. Appl.
-    Math. 24, 1988); the iterate may gather a nullspace part, which the
-    caller removes.
+    The (n, k) block keeps its shape throughout. A column stays active until
+    its residual is within rel_tolerance times its right-hand side's norm; an
+    inactive column gets zero step and zero direction update, so it freezes
+    where it converged (an all-zero column never moves from zero), and
+    results do not depend, beyond rounding, on how columns are batched. A
+    singular semidefinite operator needs right-hand sides in its range only
+    (Kaasschieter, J. Comput. Appl. Math. 24, 1988); the iterate may gather
+    a nullspace part, which the caller removes.
 
     Args:
         matvec: callable mapping an (n, k) block to A times that block.
@@ -213,54 +230,36 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
     Raises:
         SolverConvergenceError: listing the columns that missed the target.
     """
-    n, k = rhs.shape
-    solution = np.zeros_like(rhs)
-    bnorm_all = np.linalg.norm(rhs, axis=0)
-    idx = np.flatnonzero(bnorm_all > 0.0)
-    if idx.size == 0:
-        return solution, 0
-
-    bnorm = bnorm_all[idx]
-    x = np.zeros((n, idx.size))
-    r = rhs[:, idx].copy()
-    z = precond_diag_inv[:, None] * r
+    k = rhs.shape[1]
+    d_inv = precond_diag_inv[:, None]
+    bnorm = np.linalg.norm(rhs, axis=0)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = d_inv * r
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
 
     for iterations in range(max_iterations + 1):
         resid = np.linalg.norm(r, axis=0)
-        done = resid <= rel_tolerance * bnorm
-        if done.any():
-            finished = np.flatnonzero(done)
-            solution[:, idx[finished]] = x[:, finished]
-            keep = ~done
-            if not keep.any():
-                return solution, iterations
-            idx = idx[keep]
-            bnorm = bnorm[keep]
-            resid = resid[keep]
-            x = x[:, keep]
-            r = r[:, keep]
-            p = p[:, keep]
-            rz = rz[keep]
+        active = ~(resid <= rel_tolerance * bnorm)
+        if not active.any():
+            return x, iterations
         if iterations == max_iterations:
-            rel = resid / bnorm
-            raise SolverConvergenceError(
-                f"PCG missed tolerance {rel_tolerance:g} after {max_iterations} "
-                f"iterations on {rel.size} column(s); worst relative "
-                f"residual {float(rel.max()):.3e} at column {int(idx[np.argmax(rel)])}",
-                residuals=rel, columns=idx)
+            raise _convergence_error(f"PCG after {max_iterations} iterations",
+                                     rel_tolerance, resid, bnorm)
         ap = matvec(p)
         pap = np.einsum("ij,ij->j", p, ap)
         # pap can only vanish if a direction fell entirely into the nullspace;
         # stall that column rather than dividing by zero.
-        alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=pap > 0)
-        x += p * alpha
-        r -= ap * alpha
-        z = precond_diag_inv[:, None] * r
+        alpha = np.divide(rz, pap, out=np.zeros(k), where=active & (pap > 0))
+        # z is scratch until it takes the new preconditioned residual
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(ap, alpha, out=z)
+        np.multiply(d_inv, r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
-        beta = rz_new / rz
-        p = z + p * beta
+        beta = np.divide(rz_new, rz, out=np.zeros(k), where=active)
+        p *= beta
+        p += z
         rz = rz_new
 
 
@@ -337,14 +336,9 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
         x, _ = pcg(lambda block: lap @ block, 1.0 / safe_deg, projected,
                    config.rel_tolerance, config.iteration_cap(n))
     x = project_out_nullspace(graph, x)
-    resid = np.linalg.norm(lap @ x - projected, axis=0)
-    bnorm = np.linalg.norm(projected, axis=0)
-    failed = np.flatnonzero(resid > config.rel_tolerance * bnorm)
-    if failed.size:
-        rel = resid[failed] / bnorm[failed]
-        raise SolverConvergenceError(
-            f"{route} missed tolerance {config.rel_tolerance:g} on "
-            f"{failed.size} column(s); worst relative residual "
-            f"{float(rel.max()):.3e} at column {int(failed[np.argmax(rel)])}",
-            residuals=rel, columns=failed)
+    error = _convergence_error(route, config.rel_tolerance,
+                               np.linalg.norm(lap @ x - projected, axis=0),
+                               np.linalg.norm(projected, axis=0))
+    if error is not None:
+        raise error
     return x[:, 0] if single else x

@@ -15,8 +15,9 @@ import numpy as np
 
 from .embeddings import exact_embedding, sketched_embedding
 from .graph import stationary_distribution
-from .measures import (AffinityTable, effective_resistance_from_embedding,
-                       hitting_time_via_embedding, tetali_hitting_time)
+from .measures import (AffinityTable, _pair_hitting_times,
+                       effective_resistance_from_embedding,
+                       tetali_hitting_time)
 from .oracle import (broken_cycle_resistance, counterexample_pair,
                      cycle_resistance, find_witness_graph,
                      grounded_hitting_times, random_connected_graph,
@@ -56,6 +57,13 @@ def _corpus(seed: int, count: int = 12, max_nodes: int = 48):
     return graphs
 
 
+def _distinct_pairs(rng: np.random.Generator, num_nodes: int,
+                    draws: int) -> np.ndarray:
+    """(p, 2) node pairs from `draws` uniform draws, dropping u == v."""
+    pairs = np.array([rng.integers(0, num_nodes, 2) for _ in range(draws)])
+    return pairs[pairs[:, 0] != pairs[:, 1]]
+
+
 def suite_identities(seed: int = 0) -> list[CheckResult]:
     """Distance identity, commute identity, and triple hitting agreement on a
     small random corpus."""
@@ -69,11 +77,9 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         grounded = grounded_hitting_times(graph)
         embedding = exact_embedding(graph)
         pi = stationary_distribution(graph)
-        for _ in range(8):
-            u, v = rng.integers(0, graph.num_nodes, 2)
-            u, v = int(u), int(v)
-            if u == v:
-                continue
+        pairs = _distinct_pairs(rng, graph.num_nodes, 8)
+        h_embs = _pair_hitting_times(embedding, graph, *pairs.T)[:, 0]
+        for (u, v), h_emb in zip(pairs.tolist(), h_embs):
             res = float(table.res[u, v])
             er_emb = effective_resistance_from_embedding(embedding, u, v)
             worst_dist = max(worst_dist, abs(er_emb - res))
@@ -82,7 +88,6 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
                                 abs(commute - 2.0 * graph.total_weight * res))
             h_sys = float(grounded[u, v])
             h_tab = float(table.hit[u, v])
-            h_emb = hitting_time_via_embedding(embedding, graph, u, v)
             h_tet = tetali_hitting_time(graph, table.res, pi, u, v)
             scale = max(1.0, abs(h_sys))
             worst_triple = max(worst_triple,
@@ -134,14 +139,9 @@ def suite_ht_error(seed: int = 0) -> list[CheckResult]:
                 sketch = sketched_embedding(graph, epsilon,
                                             seed=seed + 17 * i + trial)
                 bound = 3.0 * epsilon * table.h_max
-                worst = 0.0
-                for _ in range(24):
-                    u, v = rng.integers(0, graph.num_nodes, 2)
-                    if u == v:
-                        continue
-                    est = hitting_time_via_embedding(sketch, graph, int(u),
-                                                     int(v))
-                    worst = max(worst, abs(est - table.hit[u, v]))
+                us, vs = _distinct_pairs(rng, graph.num_nodes, 24).T
+                est = _pair_hitting_times(sketch, graph, us, vs)[:, 0]
+                worst = np.max(np.abs(est - table.hit[us, vs]), initial=0.0)
                 runs += 1
                 if worst <= bound:
                     ok_runs += 1

@@ -166,6 +166,13 @@ def test_random_rotation_properties():
     assert np.array_equal(random_rotation(6, 3), random_rotation(6, 3))
     with pytest.raises(ValueError):
         random_rotation(0, 1)
+    # bool is an int to Python; numpy ints are fine
+    assert np.array_equal(random_rotation(np.int64(6), np.uint8(3)),
+                          random_rotation(6, 3))
+    for dim, seed, name in [(2.5, 1, "dim"), (True, 5, "dim"), (3, 2.5, "seed"),
+                            (3, True, "seed"), (3, -1, "seed")]:
+        with pytest.raises(ValueError, match=name):
+            random_rotation(dim, seed)
 
 
 def test_rotation_dim_one():

@@ -84,6 +84,13 @@ def test_non_integer_endpoint_rejected():
         build_graph(3, [(0, np.bool_(True))])
     with pytest.raises(GraphInputError, match="numeric"):
         build_graph(2, np.array([[True, False]]))
+    # only numbers, checked per item, whichever entry point built the list
+    with pytest.raises(GraphInputError, match="edge 0: '1' .* not a number"):
+        build_graph(2, [(0, "1")])
+    with pytest.raises(GraphInputError, match="edge 1: 'a' .* not a number"):
+        build_graph(2, [(0, 1), ("a", 1)])
+    with pytest.raises(GraphInputError, match="edge 0: None .* not a number"):
+        build_graph(2, [(0, 1, None)])
 
 
 def test_components_two_islands():

@@ -194,6 +194,13 @@ def test_zero_rhs_returns_zero(pcg_route):
     g = random_connected_graph(40, 3.0, seed=9)
     x = solve_laplacian(g, np.zeros((40, 2)))
     assert np.array_equal(x, np.zeros((40, 2)))
+    # a zero column among nonzero ones stays frozen at zero
+    block = np.random.default_rng(9).standard_normal((40, 3))
+    block[:, 1] = 0.0
+    x = solve_laplacian(g, block)
+    assert np.array_equal(x[:, 1], np.zeros(40))
+    for j in (0, 2):
+        assert np.max(np.abs(x[:, j] - solve_laplacian(g, block[:, j]))) <= 1e-12
 
 
 def test_convergence_error_reports_residual_and_column(pcg_route):
@@ -201,12 +208,24 @@ def test_convergence_error_reports_residual_and_column(pcg_route):
     g = random_connected_graph(200, 3.0, seed=10)
     cfg = SolverConfig(rel_tolerance=1e-12, max_iterations=2)
     b = np.random.default_rng(11).standard_normal((200, 3))
+    b[:, 1] = 0.0  # a zero column converges at once and is not reported
     with pytest.raises(SolverConvergenceError) as excinfo:
         solve_laplacian(g, b, cfg)
     err = excinfo.value
-    assert err.residuals is not None and len(err.residuals)
-    assert err.columns is not None and len(err.columns)
+    assert err.residuals is not None and len(err.residuals) == 2
+    assert list(err.columns) == [0, 2]
     assert "residual" in str(err)
+
+
+def test_non_finite_rhs_column_is_reported(pcg_route):
+    # a NaN column never meets the tolerance: it is an error, not a zero
+    pcg_route()
+    g = random_connected_graph(40, 3.0, seed=9)
+    b = np.random.default_rng(9).standard_normal((40, 2))
+    b[0, 1] = np.nan
+    with pytest.raises(SolverConvergenceError) as excinfo:
+        solve_laplacian(g, b)
+    assert list(excinfo.value.columns) == [1]
 
 
 def test_batched_and_single_column_solves_match(pcg_route):
