@@ -185,6 +185,46 @@ def _write_csv_table(path: Path, name: str, arr: np.ndarray,
     path.write_bytes("".join(line + "\r\n" for line in lines).encode())
 
 
+def _write_json_array(fh, arr: np.ndarray, indent: str) -> None:
+    """``json.dumps(arr.tolist(), indent=2)`` with every line after the
+    first indented by ``indent``, written one innermost row at a time."""
+    if arr.ndim > 1 and len(arr):
+        inner = indent + "  "
+        fh.write("[\n" + inner)
+        for i, row in enumerate(arr):
+            if i:
+                fh.write(",\n" + inner)
+            _write_json_array(fh, row, inner)
+        fh.write("\n" + indent + "]")
+    elif len(arr):
+        inner = "\n" + indent + "  "
+        text = "[" + inner + ("," + inner).join(map(repr, arr.tolist()))
+        # a number's repr holds no letters but those of nan and inf, which
+        # json spells NaN, Infinity and -Infinity
+        fh.write(text.replace("nan", "NaN").replace("inf", "Infinity")
+                 + "\n" + indent + "]")
+    else:
+        fh.write("[]")
+
+
+def _write_json(fh, features: FeatureSet) -> None:
+    """The json export, byte for byte what ``json.dump`` of the document
+    with ``indent=2, sort_keys=True`` and a closing newline writes, but with
+    its numeric tables streamed row by row through ``repr``."""
+    tables = features.family_arrays()
+    fh.write('{\n  "arrays": {')
+    for i, name in enumerate(sorted(tables)):
+        fh.write(("," if i else "") + f"\n    {json.dumps(name)}: ")
+        _write_json_array(fh, tables[name], "    ")
+    fh.write('\n  },\n  "edge_index": ' if tables
+             else '},\n  "edge_index": ')
+    _write_json_array(fh, features.edge_index, "  ")
+    manifest = json.dumps(features.manifest, indent=2, sort_keys=True)
+    # json escapes every newline inside a string, so each one here is a line
+    # break to indent one level deeper
+    fh.write(',\n  "manifest": ' + manifest.replace("\n", "\n  ") + "\n}\n")
+
+
 def _write_binary_array(path: Path, name: str, arr: np.ndarray,
                         features: FeatureSet) -> None:
     flags = _FLAG_INTEGER if name == "edge_index" else 0
@@ -200,13 +240,21 @@ def _write_binary_array(path: Path, name: str, arr: np.ndarray,
 
 
 def _read_csv_table(path: Path) -> np.ndarray:
-    """Every column of a csv table, index columns included, as float64."""
+    """Every column of a csv table, index columns included, as float64,
+    parsed by numpy's C reader."""
     try:
-        header, *lines = path.read_text().splitlines()
-        table = np.array([line.split(",") for line in lines], dtype=np.float64)
+        with path.open("rb") as fh:
+            columns = fh.readline().count(b",") + 1
+            # loadtxt warns on a table without rows, which is no fault here
+            if not fh.peek(1):
+                return np.empty((0, columns))
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise GraphInputError(f"{path}: {exc}") from exc
-    return table.reshape(len(lines), header.count(",") + 1)
+    if table.shape[1] != columns:
+        raise GraphInputError(f"{path}: the header names {columns} columns, "
+                              f"the rows hold {table.shape[1]}")
+    return table
 
 
 def _read_binary_array(path: Path) -> np.ndarray:
@@ -244,16 +292,9 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
     if fmt == "json":
         if path.is_dir():
             path = path / "features.json"
-        doc = {
-            "manifest": features.manifest,
-            "edge_index": features.edge_index.tolist(),
-            "arrays": {name: arr.tolist()
-                       for name, arr in features.family_arrays().items()},
-        }
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(fh, features)
         return [path]
     if fmt not in _TABLE_CODECS:
         raise ValueError(f"unknown format {fmt!r}; expected json, csv, or binary")

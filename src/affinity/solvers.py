@@ -14,9 +14,10 @@ route, once, before anything is factored:
   preconditioned conjugate gradient (Jacobi preconditioner) against the
   sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph.
 
-Every route solves for the right-hand side with the nullspace of component
-indicator vectors projected out. Both sparse routes project the solution once
-more and check each column's true residual against
+A right-hand side column holding NaN or inf is refused before any route
+runs. Every route solves for the right-hand side with the nullspace of
+component indicator vectors projected out. Both sparse routes project the
+solution once more and check each column's true residual against
 :attr:`SolverConfig.rel_tolerance`; PCG alone has an iteration cap.
 """
 
@@ -39,6 +40,9 @@ _PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
 #: Laplacian restricted to them).
 _FACTOR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple | None]" = \
     weakref.WeakKeyDictionary()
+#: Per graph: the (components x n) CSC indicator of component membership.
+_INDICATOR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csc_matrix]" = \
+    weakref.WeakKeyDictionary()
 
 #: Relative eigenvalue cutoff below which spectrum entries count as zero.
 PINV_RCOND = 1e-10
@@ -59,8 +63,9 @@ DIRECT_PROFILE_EXPONENT = 1.5
 
 
 class SolverConvergenceError(RuntimeError):
-    """A sparse solve missed its residual tolerance: PCG within its
-    iteration cap, or either sparse route's closing true-residual check.
+    """A solve cannot meet its residual tolerance: a right-hand side column
+    holds NaN or inf (any route), PCG missed it within its iteration cap, or
+    either sparse route failed its closing true-residual check.
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -124,12 +129,20 @@ def dense_laplacian(graph: Graph) -> np.ndarray:
 
 
 def _component_sums(graph: Graph, mat: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Per-component sums of the node-weighted rows of mat, summed in node
-    order by one (components x n) indicator product."""
-    n = graph.num_nodes
-    return sparse.csc_matrix((weights, graph.component_of, np.arange(n + 1)),
-                             shape=(graph.num_components, n)) @ mat
+                    weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-component sums of the rows of mat, each row times its node's
+    weight if weights are given, summed in node order by one product with
+    the graph's cached (components x n) sparse indicator."""
+    indicator = _INDICATOR_CACHE.get(graph)
+    if indicator is None:
+        n = graph.num_nodes
+        indicator = sparse.csc_matrix(
+            (np.ones(n), graph.component_of, np.arange(n + 1)),
+            shape=(graph.num_components, n))
+        _INDICATOR_CACHE[graph] = indicator
+    # a unit entry times a weighted row is the weighted row: same bits as
+    # weights stored in the indicator
+    return indicator @ (mat if weights is None else weights[:, None] * mat)
 
 
 def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
@@ -146,7 +159,7 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected leading dimension {graph.num_nodes}, "
                          f"got {mat.shape[0]}")
     counts = np.bincount(graph.component_of, minlength=graph.num_components)
-    sums = _component_sums(graph, mat, np.ones(graph.num_nodes))
+    sums = _component_sums(graph, mat)
     out = mat - (sums / counts[:, None])[graph.component_of]
     return out[:, 0] if single else out
 
@@ -310,7 +323,9 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     PCG only.
 
     Raises:
-        SolverConvergenceError: when a sparse route misses the tolerance.
+        SolverConvergenceError: on every route, before any solve, when a
+            column of b holds NaN or inf (its residual reads NaN); and when a
+            sparse route misses the tolerance.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -319,6 +334,12 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     if mat.ndim != 2 or mat.shape[0] != graph.num_nodes:
         raise ValueError(f"right-hand side must have leading dimension "
                          f"{graph.num_nodes}, got shape {b.shape}")
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=0))
+    if bad.size:
+        raise SolverConvergenceError(
+            f"right-hand side holds NaN or inf in {bad.size} column(s), "
+            f"first at column {int(bad[0])}",
+            residuals=np.full(bad.size, np.nan), columns=bad)
     projected = project_out_nullspace(graph, mat)
     n = graph.num_nodes
     if n < DENSE_SOLVE_NODES:

@@ -385,12 +385,12 @@ def test_rotation_invariance_of_derived_measures():
 
 @pytest.mark.parametrize("route", ["dense", "pcg", "direct"])
 def test_identical_runs_produce_identical_bytes(route, tmp_path):
-    """Two CLI invocations with the same seed write byte-identical exports,
-    including the sketched and rotated feature families, on every solve
-    route: a 60-node graph takes the dense pseudoinverse, a graph of two
-    random components plus an isolated node, at DENSE_SOLVE_NODES nodes or
-    more, runs block PCG with the multi-component projection, and a 30 x 30
-    grid takes the sparse LU route."""
+    """Two CLI invocations with the same seed write byte-identical exports
+    in every format, including the sketched and rotated feature families,
+    on every solve route: a 60-node graph takes the dense pseudoinverse, a
+    graph of two random components plus an isolated node, at
+    DENSE_SOLVE_NODES nodes or more, runs block PCG with the multi-component
+    projection, and a 30 x 30 grid takes the sparse LU route."""
     cli = [sys.executable, "-m", "affinity.cli"]
     graph_path = tmp_path / "graph.json"
     if route == "dense":
@@ -418,17 +418,24 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
 
     outputs = []
     for name in ("first", "second"):
-        out_dir = tmp_path / name
-        subprocess.run(cli + ["compute", "--input", str(graph_path),
-                              "--features", "er,ht,node-emb,edge-emb",
-                              "--epsilon", epsilon, "--seed", "11",
-                              "--rotate", "5", "--format", "binary",
-                              "--out", str(out_dir)],
-                       check=True, capture_output=True)
-        outputs.append({p.name: p.read_bytes()
-                        for p in sorted(out_dir.iterdir())})
+        files = {}
+        for fmt in ("binary", "csv", "json"):
+            # into an existing directory json writes features.json
+            out = tmp_path / name / fmt
+            out.mkdir(parents=True)
+            subprocess.run(cli + ["compute", "--input", str(graph_path),
+                                  "--features", "er,ht,node-emb,edge-emb",
+                                  "--epsilon", epsilon, "--seed", "11",
+                                  "--rotate", "5", "--format", fmt,
+                                  "--out", str(out)],
+                           check=True, capture_output=True)
+            files.update({f"{fmt}/{p.name}": p.read_bytes()
+                          for p in sorted(out.iterdir())})
+        outputs.append(files)
 
     first, second = outputs
+    assert {"binary/edge_er.bin", "csv/edge_er.csv",
+            "json/features.json"} <= set(first)
     assert set(first) == set(second)
     mismatched = [name for name in first if first[name] != second[name]]
     _report(f"byte-identical repeat runs ({route})", not mismatched,

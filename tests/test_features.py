@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from affinity.features import (FAMILIES, assemble_features,
+from affinity.features import (FAMILIES, FeatureSet, assemble_features,
                                augment_with_rotation, export_features,
                                graph_digest, load_features)
 from affinity.graph import GraphInputError, build_graph
@@ -198,6 +199,63 @@ def test_text_exports_match_standard_library_writers(case, tmp_path):
     [json_file] = export_features(fs, "json", tmp_path / "f.json")
     assert json_file.read_text() == json.dumps(doc, indent=2,
                                                sort_keys=True) + "\n"
+
+
+def _hand_built_feature_sets():
+    """Feature sets the json writer must spell as the standard library does:
+    non-finite and extreme floats, one-row tables, a node table without
+    columns, no family at all, and the exact set of a graph without edges."""
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
+    odd = FeatureSet(num_nodes=3, edge_index=np.array([[0, 2]]),
+                     manifest={"note": "a\nb", "epsilon": np.inf},
+                     edge_er=values[:1], edge_ht=values[None, 1:3],
+                     node_embedding=np.zeros((3, 0)),
+                     edge_embedding=values[None, :])
+    bare = FeatureSet(num_nodes=0, edge_index=np.zeros((0, 2), np.int64),
+                      manifest={})
+    edgeless = assemble_features(build_graph(3, []), list(FAMILIES))
+    return [odd, bare, edgeless]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["non_finite_one_row", "no_family", "edgeless"])
+def test_json_writer_matches_json_dumps(case, tmp_path):
+    fs = _hand_built_feature_sets()[case]
+    doc = {"manifest": fs.manifest, "edge_index": fs.edge_index.tolist(),
+           "arrays": {name: arr.tolist()
+                      for name, arr in fs.family_arrays().items()}}
+    [json_file] = export_features(fs, "json", tmp_path / "f.json")
+    assert json_file.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True)
+                                      + "\n").encode()
+
+
+def test_csv_header_only_table_loads_without_warning(tmp_path):
+    fs = assemble_features(build_graph(3, []), list(FAMILIES))
+    export_features(fs, "csv", tmp_path)
+    assert (tmp_path / "edge_ht.csv").read_bytes() == b"u,v,c0,c1\r\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_features(tmp_path, "csv")
+    assert loaded.edge_ht.shape == (0, 2)
+    assert loaded.node_embedding.shape == (3, 0)
+
+
+_CSV_FAULTS = {"not_a_number": (1, lambda cells: cells[:-1] + [b"abc"]),
+               "ragged_row": (2, lambda cells: cells[:-1]),
+               "header_mismatch": (0, lambda cells: cells + [b"c9"])}
+
+
+@pytest.mark.parametrize("fault", list(_CSV_FAULTS))
+def test_broken_csv_table_names_the_file(fault, tmp_path):
+    export_features(_feature_sets()[0], "csv", tmp_path)
+    table = tmp_path / "edge_ht.csv"
+    lines = table.read_bytes().split(b"\r\n")
+    line, edit = _CSV_FAULTS[fault]
+    lines[line] = b",".join(edit(lines[line].split(b",")))
+    table.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(GraphInputError) as info:
+        load_features(tmp_path, "csv")
+    assert str(table) in str(info.value)
 
 
 def _drop_last_row(target, fmt):

@@ -228,6 +228,27 @@ def test_non_finite_rhs_column_is_reported(pcg_route):
     assert list(excinfo.value.columns) == [1]
 
 
+@pytest.mark.parametrize("route", ["dense", "direct", "pcg"])
+def test_non_finite_rhs_is_refused_before_any_route(route, pcg_route):
+    # a 40-node path takes the dense route, which would return NaN columns,
+    # and a 30 x 30 grid the sparse LU route; PCG would run its whole cap
+    g = build_path(40) if route == "dense" else build_grid(30, 30)
+    if route == "pcg":
+        pcg_route()
+    assert (g.num_nodes < solvers.DENSE_SOLVE_NODES) == (route == "dense")
+    b = np.random.default_rng(3).standard_normal((g.num_nodes, 4))
+    b[5, 0] = np.nan
+    b[7, 2] = np.inf
+    b[9, 3] = -np.inf
+    with pytest.raises(SolverConvergenceError, match="NaN or inf") as info:
+        solve_laplacian(g, b)
+    assert list(info.value.columns) == [0, 2, 3]
+    assert np.isnan(info.value.residuals).all()
+    with pytest.raises(SolverConvergenceError, match="NaN or inf") as info:
+        solve_laplacian(g, b[:, 2])
+    assert list(info.value.columns) == [0]
+
+
 def test_batched_and_single_column_solves_match(pcg_route):
     pcg_route()
     g = random_connected_graph(150, 4.0, seed=12)
