@@ -1,10 +1,11 @@
 """Feature assembly and serialization.
 
-One embedding (exact or sketched) drives every requested feature family:
-per-edge effective resistances, directed hitting-time pairs, node embedding
-rows, and edge difference vectors. A manifest records everything needed to
-regenerate the numbers bit for bit: graph hash, solver settings, sketch
-parameters, and rotation seeds.
+One Gram source drives every requested feature family: per-edge effective
+resistances and directed hitting-time pairs come from the closed form on L+
+(exact) or on a sketched embedding, next to node embedding rows and edge
+difference vectors. A manifest records everything needed to regenerate the
+numbers bit for bit: graph hash, solver settings, sketch parameters, and
+rotation seeds.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 from .embeddings import (JL_CONSTANT, exact_embedding, random_rotation,
                          sketched_embedding)
 from .graph import Graph, GraphInputError
-from .measures import _pair_hitting_times
-from .solvers import DENSE_SOLVE_NODES, SolverConfig
+from .measures import _closed_form
+from .solvers import DENSE_SOLVE_NODES, SolverConfig, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1
@@ -71,11 +72,12 @@ def graph_digest(graph: Graph) -> str:
 def assemble_features(graph: Graph, families, epsilon: float | None = None,
                       seed: int = 0,
                       config: SolverConfig | None = None) -> FeatureSet:
-    """Compute the requested feature families from a single embedding.
+    """Compute the requested feature families from one Gram source.
 
-    With ``epsilon`` None the exact embedding is used (graph must be within
-    the pseudoinverse's node cap); otherwise a sketched embedding with the
-    given seed.
+    With ``epsilon`` None the edge measures read the pseudoinverse L+ and
+    the embedding families the exact embedding, built only when one is
+    requested (graph must be within the pseudoinverse's node cap); otherwise
+    every family comes from one sketched embedding with the given seed.
 
     Args:
         families: iterable drawn from ``FAMILIES``.
@@ -92,23 +94,26 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     config = config or SolverConfig()
 
     if epsilon is None:
-        embedding = exact_embedding(graph)
+        # the edge measures read L+ itself; only the embedding families need
+        # the (n, m) exact embedding
+        gram = dense_pseudoinverse(graph)
+        vecs = exact_embedding(graph).vectors if any(
+            name.endswith("embedding") for name in requested) else None
     else:
-        embedding = sketched_embedding(graph, epsilon, seed, config)
+        gram = sketched_embedding(graph, epsilon, seed, config)
+        vecs = gram.vectors
 
-    arrays: dict[str, np.ndarray] = {}
-    if "edge_er" in requested or "edge_embedding" in requested:
-        diffs = (embedding.vectors[graph.edge_u]
-                 - embedding.vectors[graph.edge_v])
-    if "edge_er" in requested:
-        arrays["edge_er"] = np.einsum("ij,ij->i", diffs, diffs)
-    if "edge_ht" in requested:
-        arrays["edge_ht"] = _pair_hitting_times(embedding, graph, graph.edge_u,
-                                                graph.edge_v)
-    if "node_embedding" in requested:
-        arrays["node_embedding"] = embedding.vectors
-    if "edge_embedding" in requested:
-        arrays["edge_embedding"] = diffs
+    edge_values = "edge_er" in requested or "edge_ht" in requested
+    rows = None
+    if "edge_embedding" in requested or (epsilon is not None and edge_values):
+        rows = vecs[graph.edge_u], vecs[graph.edge_v]
+        rows += (rows[0] - rows[1],)
+    arrays = {"node_embedding": vecs,
+              "edge_embedding": None if rows is None else rows[2]}
+    if edge_values:
+        arrays["edge_er"], forth, back = _closed_form(
+            graph, gram, graph.edge_u, graph.edge_v, rows)
+        arrays["edge_ht"] = np.column_stack([forth, back])
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -116,10 +121,10 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "num_edges": graph.num_edges,
         "graph_sha256": graph_digest(graph),
         "families": requested,
-        "kind": embedding.kind,
-        "embedding_dim": embedding.dim,
-        "epsilon": embedding.epsilon,
-        "seed": embedding.seed,
+        "kind": "exact" if epsilon is None else "sketched",
+        "embedding_dim": graph.num_edges if epsilon is None else gram.dim,
+        "epsilon": None if epsilon is None else gram.epsilon,
+        "seed": None if epsilon is None else gram.seed,
         "jl_constant": None if epsilon is None else JL_CONSTANT,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
         # the node count under which solves go dense, then the PCG settings
@@ -130,7 +135,7 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         num_nodes=graph.num_nodes,
         edge_index=np.column_stack([graph.edge_u, graph.edge_v]),
         manifest=manifest,
-        **arrays,
+        **{name: arrays[name] for name in requested},
     )
 
 
@@ -343,8 +348,10 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
     Raises:
         GraphInputError: naming the file, when it is malformed, lacks a key
             or a table, lists a family outside ``FAMILIES``, gives a negative
-            or non-integer size, holds a table of non-numbers, or a table
-            holds a different number of values than the manifest gives.
+            or non-integer size, holds a table of non-numbers, a table
+            holds a different number of values than the manifest gives, or
+            the edge index holds an id that is not an integer node id in
+            0..num_nodes - 1 (NaN and infinities included).
     """
     path = Path(path)
     if fmt == "json":
@@ -407,8 +414,13 @@ def load_features(path: str | Path, fmt: str) -> FeatureSet:
                 raise GraphInputError(f"{file}: {name} holds {table.size} "
                                       f"values, the manifest gives shape {shape}")
             arrays[name] = table.reshape(shape)
-        return FeatureSet(num_nodes=manifest["num_nodes"],
-                          edge_index=arrays.pop("edge_index").astype(np.int64),
+        index, n = arrays.pop("edge_index"), manifest["num_nodes"]
+        bad = index[~((index >= 0) & (index < n) & (index == np.floor(index)))]
+        if bad.size:
+            raise GraphInputError(
+                f"{tables['edge_index'][0]}: edge_index holds "
+                f"{float(bad[0])!r}, not a node id in 0..{n - 1}")
+        return FeatureSet(num_nodes=n, edge_index=index.astype(np.int64),
                           manifest=manifest, **arrays)
     except KeyError as exc:
         raise GraphInputError(f"{source}: missing key {exc}") from None

@@ -1,16 +1,11 @@
 """Pairwise affinity measures: effective resistance, hitting and commute
 times, and their embedding-based counterparts.
 
-Exact hitting times are closed forms in the Laplacian pseudoinverse:
-H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv), so the all-pairs table
-costs one cached eigendecomposition plus O(n^2), and one target's column is
-one Laplacian solve against d - 2M e_t. Embedding-based ones use
-H(u, v) = 2M <r_v - r_u, r_v - p> = 2M (G_vv - G_uv - a_v + a_u), with G
-the Gram matrix and a_u = <r_u, p>. Every graph takes one per-component path:
-M and p of the pair's component come from :func:`_component_masses` and
-``_component_sums``; :func:`_pair_hitting_times` evaluates arrays of pairs,
-:func:`_hitting_table` all pairs from L+ or V V^T. Tetali's resistance
-formula is a third, independent route for cross-checking.
+The tables, the edge features and every embedding read evaluate one closed
+form on a Gram matrix G, :func:`_closed_form`: G = L+ on the exact paths,
+G = V V^T for an embedding V. A single exact resistance is one Laplacian
+solve, one target's exact hitting-time column one solve against d - 2M e_t,
+and Tetali's resistance formula is an independent route for cross-checking.
 """
 
 from __future__ import annotations
@@ -105,26 +100,51 @@ def _component_masses(graph: Graph) -> np.ndarray:
                        minlength=graph.num_components).astype(np.float64)
 
 
-def _pair_hitting_times(embedding: ResistiveEmbedding, graph: Graph,
-                        sources: np.ndarray,
-                        targets: np.ndarray) -> np.ndarray:
-    """(len, 2) hitting times [H(u, v), H(v, u)] of the same-component pairs
-    (u, v) = (sources[i], targets[i]): H(u, v) = 2M (<r_v - r_u, r_v> - a_v
-    + a_u), with a_u = <r_u, p> computed once per node, so that only scalars
-    are gathered per pair."""
-    vecs = embedding.vectors
+def _closed_form(graph: Graph, gram, u: np.ndarray, v: np.ndarray,
+                 rows: tuple | None = None) -> tuple:
+    """(Res(u, v), H(u, v), H(v, u)) of the pairs of the index arrays u and
+    v, broadcast together, from a Gram matrix G (Tetali 1991):
+    Res = G_uu + G_vv - 2 G_uv and H(u, v) = 2M (G_vv - G_uv - a_v + a_u),
+    with M the edge mass of the pair's component and a_x = (G d)_x / 2M
+    summed over x's component only, since a sketch's Gram has entries across
+    components; +inf across components, 0 where u == v.
+
+    ``gram`` is an (n, n) array, L+ or V V^T, or a ResistiveEmbedding read
+    through the row differences r_u - r_v, so that a long path's large G_vv
+    and G_uv never cancel; ``rows`` passes V[u], V[v] and V[u] - V[v] when
+    the caller holds them.
+    """
+    n = graph.num_nodes
+    embedding = isinstance(gram, ResistiveEmbedding)
+    if (gram.num_nodes if embedding else len(gram)) != n:
+        raise ValueError("embedding and graph disagree on node count")
     comp = graph.component_of
     two_mass = 2.0 * _component_masses(graph)[comp]
-    sums = _component_sums(graph, vecs, graph.degrees)
-    # an isolated node is in no pair; leave its stationary term at zero
-    a = np.divide(np.einsum("ij,ij->i", vecs, sums[comp]), two_mass,
-                  out=np.zeros(graph.num_nodes), where=two_mass > 0)
-    ends, starts = vecs[targets], vecs[sources]
-    diff = ends - starts
-    gap = a[sources] - a[targets]
-    return two_mass[targets][:, None] * np.column_stack(
-        [np.einsum("ij,ij->i", diff, ends) + gap,
-         -np.einsum("ij,ij->i", diff, starts) - gap])
+    if embedding:
+        vecs = gram.vectors
+        rows_u, rows_v, diff = rows or (vecs[u], vecs[v], vecs[u] - vecs[v])
+        res = np.einsum("ij,ij->i", diff, diff)
+        to_v = -np.einsum("ij,ij->i", diff, rows_v)
+        to_u = np.einsum("ij,ij->i", diff, rows_u)
+        sums = _component_sums(graph, vecs, graph.degrees)
+        own = np.einsum("ij,ij->i", vecs, sums[comp])
+    else:
+        diag = np.diag(gram)
+        g_uv = gram[u, v]
+        res = (diag[u] + diag[v]) - 2.0 * g_uv
+        to_v = diag[v] - g_uv
+        to_u = diag[u] - g_uv
+        # (G d)_x on x's component: row c(x), column x of the component sums
+        own = _component_sums(graph, gram, graph.degrees)[comp, np.arange(n)]
+    # an isolated node only pairs with itself; leave its term at zero
+    a = np.divide(own, two_mass, out=np.zeros(n), where=two_mass > 0)
+    out = (res, two_mass[u] * ((to_v - a[v]) + a[u]),
+           two_mass[v] * ((to_u - a[u]) + a[v]))
+    cross = comp[u] != comp[v]
+    for arr in out:
+        arr[cross] = np.inf
+        arr[u == v] = 0.0
+    return out
 
 
 def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
@@ -138,12 +158,8 @@ def hitting_time_via_embedding(embedding: ResistiveEmbedding, graph: Graph,
     probability.
     """
     u, v = _check_pair(graph, u, v)
-    if embedding.num_nodes != graph.num_nodes:
-        raise ValueError("embedding and graph disagree on node count")
-    if u == v:
-        return 0.0
-    return float(_pair_hitting_times(embedding, graph, np.array([u]),
-                                     np.array([v]))[0, 0])
+    return float(_closed_form(graph, embedding, np.array([u]),
+                              np.array([v]))[1][0])
 
 
 def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
@@ -185,28 +201,6 @@ def tetali_hitting_time(graph: Graph, resistance_table: np.ndarray,
     return 0.5 * commute * (float(res[u, v]) + float(correction))
 
 
-def _hitting_table(graph: Graph, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """(hit, h_max) from an (n, n) Gram matrix G: L+ or embedding products.
-
-    hit[u, v] = 2M (G_vv - G_uv - a_v + a_u), with M the edge mass of the
-    pair's component and a_u = (G d)_u / 2M summed over u's component only,
-    since a sketch's Gram has entries across components; +inf across
-    components, 0 on the diagonal; h_max is the largest finite entry.
-    """
-    n = graph.num_nodes
-    comp = graph.component_of
-    two_mass = 2.0 * _component_masses(graph)[comp]
-    # row c(u), column u of the per-component sums is (G d)_u on u's component
-    own = _component_sums(graph, gram, graph.degrees)[comp, np.arange(n)]
-    a = np.divide(own, two_mass, out=np.zeros(n), where=two_mass > 0)
-    hit = two_mass[:, None] * (np.diag(gram)[None, :] - gram - a[None, :]
-                               + a[:, None])
-    hit[comp[:, None] != comp[None, :]] = np.inf
-    np.fill_diagonal(hit, 0.0)
-    # the zero diagonal keeps the maximum of the finite entries at least 0
-    return hit, float(np.max(hit, where=np.isfinite(hit), initial=0.0))
-
-
 @dataclass(frozen=True)
 class AffinityTable:
     """All-pairs affinity tables.
@@ -229,31 +223,27 @@ class AffinityTable:
     epsilon: float | None = None
 
     @classmethod
+    def _of_gram(cls, graph: Graph, gram: np.ndarray, kind: str,
+                 epsilon: float | None = None) -> "AffinityTable":
+        nodes = np.arange(graph.num_nodes)
+        res, hit, _ = _closed_form(graph, gram, nodes[:, None], nodes[None, :])
+        # the zero diagonal keeps the maximum of the finite entries at least 0
+        h_max = float(np.max(hit, where=np.isfinite(hit), initial=0.0))
+        return cls(res=res if kind == "exact" else None, hit=hit, h_max=h_max,
+                   total_weight=graph.total_weight, kind=kind, epsilon=epsilon)
+
+    @classmethod
     def exact(cls, graph: Graph) -> "AffinityTable":
-        """Dense exact tables in closed form from the pseudoinverse, with M
-        per component: H(u, v) = (L+ d)_u - (L+ d)_v + 2M (L+_vv - L+_uv)
-        (Tetali 1991). Cost: one cached eigendecomposition plus O(n^2); no
-        linear solve runs. The graph must be within the pseudoinverse's node
-        cap."""
-        pinv = dense_pseudoinverse(graph)
-        hit, h_max = _hitting_table(graph, pinv)
-        diag = np.diag(pinv)
-        # both tables are infinite exactly across components
-        res = np.where(np.isinf(hit), np.inf,
-                       diag[:, None] + diag[None, :] - 2.0 * pinv)
-        np.fill_diagonal(res, 0.0)
-        return cls(res=res, hit=hit, h_max=h_max,
-                   total_weight=graph.total_weight, kind="exact")
+        """Dense exact tables in closed form from the pseudoinverse. Cost: one
+        cached eigendecomposition plus O(n^2); no linear solve runs. The graph
+        must be within the pseudoinverse's node cap."""
+        return cls._of_gram(graph, dense_pseudoinverse(graph), "exact")
 
     @classmethod
     def approximate(cls, embedding: ResistiveEmbedding,
                     graph: Graph) -> "AffinityTable":
         """All-pairs hitting times from an embedding's Gram matrix V V^T:
         estimates for a sketch, exact for :func:`exact_embedding`."""
-        if embedding.num_nodes != graph.num_nodes:
-            raise ValueError("embedding and graph disagree on node count")
         vecs = embedding.vectors
-        hit, h_max = _hitting_table(graph, vecs @ vecs.T)
-        return cls(res=None, hit=hit, h_max=h_max,
-                   total_weight=graph.total_weight, kind="approximate",
-                   epsilon=embedding.epsilon)
+        return cls._of_gram(graph, vecs @ vecs.T, "approximate",
+                            embedding.epsilon)

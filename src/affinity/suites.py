@@ -15,9 +15,7 @@ import numpy as np
 
 from .embeddings import exact_embedding, sketched_embedding
 from .graph import stationary_distribution
-from .measures import (AffinityTable, _pair_hitting_times,
-                       effective_resistance_from_embedding,
-                       tetali_hitting_time)
+from .measures import AffinityTable, _closed_form, tetali_hitting_time
 from .oracle import (broken_cycle_resistance, counterexample_pair,
                      cycle_resistance, find_witness_graph,
                      grounded_hitting_times, random_connected_graph,
@@ -78,10 +76,9 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         embedding = exact_embedding(graph)
         pi = stationary_distribution(graph)
         pairs = _distinct_pairs(rng, graph.num_nodes, 8)
-        h_embs = _pair_hitting_times(embedding, graph, *pairs.T)[:, 0]
-        for (u, v), h_emb in zip(pairs.tolist(), h_embs):
+        er_embs, h_embs, _ = _closed_form(graph, embedding, *pairs.T)
+        for (u, v), er_emb, h_emb in zip(pairs.tolist(), er_embs, h_embs):
             res = float(table.res[u, v])
-            er_emb = effective_resistance_from_embedding(embedding, u, v)
             worst_dist = max(worst_dist, abs(er_emb - res))
             commute = grounded[u, v] + grounded[v, u]
             worst_commute = max(worst_commute,
@@ -112,15 +109,14 @@ def suite_jl(seed: int = 0) -> list[CheckResult]:
     total = 0
     for i in range(5):
         graph = random_connected_graph(40 + 24 * i, 4.0, seed=seed + 100 + i)
-        exact = exact_embedding(graph)
+        edges = graph.edge_u, graph.edge_v
+        res = _closed_form(graph, exact_embedding(graph), *edges)[0]
         for trial in range(5):
             sketch = sketched_embedding(graph, epsilon, seed=seed + 10 * i + trial)
-            for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
-                res = effective_resistance_from_embedding(exact, u, v)
-                approx = effective_resistance_from_embedding(sketch, u, v)
-                total += 1
-                if not (1 - 3 * epsilon) * res <= approx <= (1 + 3 * epsilon) * res:
-                    violations += 1
+            approx = _closed_form(graph, sketch, *edges)[0]
+            total += res.size
+            violations += int(np.sum(~((1 - 3 * epsilon) * res <= approx)
+                                     | ~(approx <= (1 + 3 * epsilon) * res)))
     return [CheckResult("jl-edge-resistance", violations == 0,
                         float(violations), 0.0,
                         f"{total} edge checks at eps={epsilon}")]
@@ -140,7 +136,7 @@ def suite_ht_error(seed: int = 0) -> list[CheckResult]:
                                             seed=seed + 17 * i + trial)
                 bound = 3.0 * epsilon * table.h_max
                 us, vs = _distinct_pairs(rng, graph.num_nodes, 24).T
-                est = _pair_hitting_times(sketch, graph, us, vs)[:, 0]
+                est = _closed_form(graph, sketch, us, vs)[1]
                 worst = np.max(np.abs(est - table.hit[us, vs]), initial=0.0)
                 runs += 1
                 if worst <= bound:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
+from .measures import _closed_form
+from .solvers import dense_pseudoinverse
 
 #: Gap-clustering tolerance used when quantizing real-valued edge measures.
 QUANTIZE_TOL = 1e-9
@@ -209,27 +211,21 @@ def expressivity_report(graph: Graph) -> ExpressivityReport:
     (b) the ordered pair of hitting times across it, or (c) the embedding
     difference norm ||r_u - r_v||, which is sqrt(Res(u, v)) for the exact
     embedding, each quantized at :data:`QUANTIZE_TOL`. Exact measures only,
-    so the graph must be within the pseudoinverse's node cap.
+    read per edge off the pseudoinverse, so the graph must be within its
+    node cap.
     """
-    from .measures import AffinityTable
-
-    table = AffinityTable.exact(graph)
-    eu = graph.edge_u
-    ev = graph.edge_v
+    res, forth, back = _closed_form(graph, dense_pseudoinverse(graph),
+                                    graph.edge_u, graph.edge_v)
 
     plain = wl_refine(graph)
+    er_coloring = wl_refine(graph, edge_colors=quantize_edge_values(res))
 
-    res_colors = quantize_edge_values(table.res[eu, ev])
-    er_coloring = wl_refine(graph, edge_colors=res_colors)
+    # one clustering over both directions, then column 0 seen from edge_u
+    ht_ids = quantize_edge_values(np.concatenate([forth, back]))
+    ht_coloring = wl_refine(graph, edge_colors=ht_ids.reshape(2, -1).T)
 
-    ht_flat = np.concatenate([table.hit[eu, ev], table.hit[ev, eu]])
-    ht_ids = quantize_edge_values(ht_flat)
-    ht_colors = np.column_stack([ht_ids[:graph.num_edges],
-                                 ht_ids[graph.num_edges:]])
-    ht_coloring = wl_refine(graph, edge_colors=ht_colors)
-
-    norms = np.sqrt(table.res[eu, ev])
-    emb_coloring = wl_refine(graph, edge_colors=quantize_edge_values(norms))
+    emb_coloring = wl_refine(graph,
+                             edge_colors=quantize_edge_values(np.sqrt(res)))
 
     variants = {}
     for name, coloring in (("plain", plain), ("er", er_coloring),

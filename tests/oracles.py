@@ -1,5 +1,6 @@
-"""Oracles that only the tests use: Monte Carlo walks, shortest paths, grid
-and disjoint-union builders, and VF2 automorphism orbits through networkx.
+"""Oracles that only the tests use: Monte Carlo walks, shortest paths,
+``numpy.linalg.pinv`` resistances, grid and disjoint-union builders, and VF2
+automorphism orbits through networkx.
 
 They import nothing from the package but :mod:`affinity.graph`, so they stay
 independent of the solver stack they check. networkx comes with the ``test``
@@ -94,6 +95,27 @@ def mc_hitting_time(graph: Graph, u: int, v: int, num_walks: int,
         else 0.0
     return WalkEstimate(mean=mean, stderr=stderr, num_walks=num_walks,
                         truncated=truncated, max_steps=max_steps)
+
+
+def pinv_resistances(graph: Graph) -> np.ndarray:
+    """All-pairs effective resistances R = L+_uu + L+_vv - 2 L+_uv, with L+
+    from ``numpy.linalg.pinv`` (an SVD) of a dense Laplacian built here from
+    the edge arrays; +inf across components, 0 on the diagonal.
+
+    Singular values under 1e-10 times the largest count as zero, far below
+    the spectrum of any test graph and far above the SVD's own noise.
+    """
+    n = graph.num_nodes
+    lap = np.zeros((n, n))
+    np.add.at(lap, (graph.edge_u, graph.edge_v), -graph.edge_w)
+    np.add.at(lap, (graph.edge_v, graph.edge_u), -graph.edge_w)
+    lap[np.diag_indices(n)] = -lap.sum(axis=1)
+    pinv = np.linalg.pinv(lap, rcond=1e-10)
+    diag = np.diag(pinv)
+    res = diag[:, None] + diag[None, :] - 2.0 * pinv
+    res[graph.component_of[:, None] != graph.component_of[None, :]] = np.inf
+    np.fill_diagonal(res, 0.0)
+    return res
 
 
 def build_grid(rows: int, cols: int, weights=None) -> Graph:

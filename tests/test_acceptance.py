@@ -24,7 +24,7 @@ from affinity import oracle
 from affinity.measures import AffinityTable
 from affinity.solvers import DENSE_SOLVE_NODES
 from oracles import (build_grid, disjoint_union, mc_hitting_time,
-                     spd_bellman_ford)
+                     pinv_resistances, spd_bellman_ford)
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -46,10 +46,14 @@ def _first_seen(labels) -> np.ndarray:
     return out
 
 
-def _resistance_table(graph) -> np.ndarray:
-    pinv = af.dense_pseudoinverse(graph)
-    diag = np.diag(pinv)
-    return diag[:, None] + diag[None, :] - 2.0 * pinv
+def _folded_hitting_table(graph, res) -> np.ndarray:
+    """Tetali's resistance-only formula on a connected graph,
+    H(u, v) = (K(u, v) + (K pi)_v - (K pi)_u) / 2 with K = 2M Res."""
+    commute = 2.0 * graph.total_weight * res
+    skew = commute @ af.stationary_distribution(graph)
+    folded = 0.5 * (commute + skew[None, :] - skew[:, None])
+    np.fill_diagonal(folded, 0.0)
+    return folded
 
 
 @pytest.fixture(scope="session")
@@ -80,12 +84,12 @@ def test_distance_identity_holds_across_corpus(corpus100):
         gram = emb.vectors @ emb.vectors.T
         sq = np.diag(gram)
         dist2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        worst = max(worst, float(np.max(np.abs(dist2 - _resistance_table(g)))))
+        worst = max(worst, float(np.max(np.abs(dist2 - pinv_resistances(g)))))
     elapsed = time.perf_counter() - start
 
     # tie the tables back to the pointwise operation on a few pairs
     g = corpus100[17]
-    table = _resistance_table(g)
+    table = pinv_resistances(g)
     rng = np.random.default_rng(1)
     for u, v in rng.integers(0, g.num_nodes, size=(4, 2)):
         if u != v:
@@ -124,25 +128,23 @@ def test_commute_times_match_resistance_scaling(corpus100, exact_tables,
 def test_three_hitting_time_routes_agree(corpus100, exact_tables,
                                          exact_embeddings, grounded_tables):
     """Grounded solves (the independent oracle), embedding inner products,
-    and the resistance-only folding formula give the same hitting times on
-    every ordered pair, and so does the closed-form exact table."""
+    and the resistance-only folding formula on numpy.linalg.pinv resistances
+    give the same hitting times on every ordered pair, and so does the
+    closed-form exact table."""
     worst = 0.0
     for g, table, emb, grounded in zip(corpus100, exact_tables,
                                        exact_embeddings, grounded_tables):
         via_embedding = AffinityTable.approximate(emb, g).hit
-        commute = 2.0 * g.total_weight * table.res
-        skew = commute @ af.stationary_distribution(g)
-        folded = 0.5 * (commute + skew[None, :] - skew[:, None])
-        np.fill_diagonal(folded, 0.0)
+        folded = _folded_hitting_table(g, pinv_resistances(g))
         worst = max(worst,
                     float(np.max(np.abs(grounded - table.hit))),
                     float(np.max(np.abs(grounded - via_embedding))),
                     float(np.max(np.abs(grounded - folded))),
                     float(np.max(np.abs(via_embedding - folded))))
 
-    g, table, emb = corpus100[13], exact_tables[13], exact_embeddings[13]
-    grounded = grounded_tables[13]
+    g, emb, grounded = corpus100[13], exact_embeddings[13], grounded_tables[13]
     pi = af.stationary_distribution(g)
+    res = pinv_resistances(g)
     rng = np.random.default_rng(3)
     for u, v in rng.integers(0, g.num_nodes, size=(4, 2)):
         if u == v:
@@ -150,7 +152,7 @@ def test_three_hitting_time_routes_agree(corpus100, exact_tables,
         u, v = int(u), int(v)
         assert abs(af.hitting_time_via_embedding(emb, g, u, v)
                    - grounded[u, v]) <= 1e-8
-        assert abs(af.tetali_hitting_time(g, table.res, pi, u, v)
+        assert abs(af.tetali_hitting_time(g, res, pi, u, v)
                    - grounded[u, v]) <= 1e-8
 
     _report("hitting-time route agreement, 100 graphs", worst <= 1e-6,
@@ -227,8 +229,8 @@ def test_counterexample_family_closed_forms_and_local_blindness():
     for k in range(1, 13):
         cycle, broken = af.counterexample_pair(k)
         n = 4 * k + 1
-        res_cycle = _resistance_table(cycle)[0]
-        res_broken = _resistance_table(broken)[0]
+        res_cycle = pinv_resistances(cycle)[0]
+        res_broken = pinv_resistances(broken)[0]
         for i in range(n):
             worst_closed = max(
                 worst_closed,
@@ -277,15 +279,16 @@ def test_sketched_tables_meet_error_bounds(sketch_corpus):
     edge_violations = 0
 
     for gi, g in enumerate(sketch_corpus):
-        table = AffinityTable.exact(g)
-        res_edges = table.res[g.edge_u, g.edge_v]
+        res = pinv_resistances(g)
+        res_edges = res[g.edge_u, g.edge_v]
+        hit = _folded_hitting_table(g, res)
         for eps in eps_grid:
-            bound = 3.0 * eps * table.h_max
+            bound = 3.0 * eps * float(hit.max())
             for trial in range(20):
                 sk = af.sketched_embedding(g, eps, seed=100 * gi + trial)
                 approx = AffinityTable.approximate(sk, g)
                 runs[eps] += 1
-                if float(np.max(np.abs(approx.hit - table.hit))) <= bound:
+                if float(np.max(np.abs(approx.hit - hit))) <= bound:
                     passes[eps] += 1
                 diffs = sk.vectors[g.edge_u] - sk.vectors[g.edge_v]
                 rel = np.abs(np.einsum("ij,ij->i", diffs, diffs)

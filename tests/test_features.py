@@ -8,12 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
+import affinity.features as features
 from affinity.features import (FAMILIES, FeatureSet, assemble_features,
                                augment_with_rotation, export_features,
                                graph_digest, load_features)
 from affinity.graph import GraphInputError, build_graph
-from affinity.measures import AffinityTable, effective_resistance
-from affinity.oracle import random_connected_graph
+from affinity.measures import effective_resistance
+from affinity.oracle import (build_cycle, grounded_hitting_times,
+                             random_connected_graph)
+from oracles import pinv_resistances
 
 
 def _path3():
@@ -33,10 +36,48 @@ def test_assemble_exact_edge_ht():
     fs = assemble_features(g, ["edge_ht"])
     # one step from an endpoint to the middle, three steps back out
     assert np.allclose(fs.edge_ht, [[1.0, 3.0], [3.0, 1.0]], atol=1e-9)
-    table = AffinityTable.exact(g)
+    hit = grounded_hitting_times(g)
     for (u, v), (huv, hvu) in zip(fs.edge_index.tolist(), fs.edge_ht.tolist()):
-        assert abs(huv - table.hit[u, v]) <= 1e-9
-        assert abs(hvu - table.hit[v, u]) <= 1e-9
+        assert abs(huv - hit[u, v]) <= 1e-9
+        assert abs(hvu - hit[v, u]) <= 1e-9
+
+
+def test_exact_edge_measures_never_build_the_exact_embedding(monkeypatch):
+    g = random_connected_graph(24, 3.0, (0.5, 2.0), seed=1)
+    calls = []
+    real = features.exact_embedding
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(features, "exact_embedding", counting)
+    for families in (["edge_er"], ["edge_ht"], ["edge_er", "edge_ht"]):
+        fs = assemble_features(g, families)
+        assert fs.manifest["kind"] == "exact"
+        assert fs.manifest["embedding_dim"] == g.num_edges
+    assert calls == []
+    assemble_features(g, ["edge_er", "node_embedding"])
+    assert calls == [g]
+
+
+def test_exact_edge_measures_match_oracles_across_components():
+    # nodes 0-5 a weighted random graph, 6 isolated, 7-11 a unit 5-cycle
+    heavy = random_connected_graph(6, 3.0, (0.5, 3.0), seed=11)
+    cycle = build_cycle(5)
+    edges = np.concatenate([
+        np.column_stack([heavy.edge_u, heavy.edge_v, heavy.edge_w]),
+        np.column_stack([cycle.edge_u + 7, cycle.edge_v + 7,
+                         cycle.edge_w])])
+    g = build_graph(12, edges)
+    assert g.num_components == 3 and g.degrees[6] == 0.0
+    fs = assemble_features(g, ["edge_er", "edge_ht"])
+    res = pinv_resistances(g)
+    hit = grounded_hitting_times(g)
+    u, v = g.edge_u, g.edge_v
+    assert np.allclose(fs.edge_er, res[u, v], rtol=1e-10, atol=0)
+    assert np.allclose(fs.edge_ht[:, 0], hit[u, v], rtol=1e-10, atol=0)
+    assert np.allclose(fs.edge_ht[:, 1], hit[v, u], rtol=1e-10, atol=0)
 
 
 def test_assemble_all_families_consistent():
@@ -367,6 +408,47 @@ def test_broken_manifest_names_the_file(fmt, fault, tmp_path):
     assert str(file) in str(info.value)
     if key is not None:
         assert repr(key) in str(info.value)
+
+
+_EDGE_INDEX_FAULTS = [(fmt, fault) for fault in ["non_integral", "nan", "inf",
+                                                   "negative", "too_large"]
+                      for fmt in ["json", "csv", "binary"]]
+
+
+@pytest.mark.parametrize("fmt, fault", _EDGE_INDEX_FAULTS,
+                         ids=[f"{fmt}-{fault}" for fmt, fault
+                              in _EDGE_INDEX_FAULTS])
+def test_broken_edge_index_names_the_file(fmt, fault, tmp_path):
+    # an edge index entry of 1.5 used to load as 1, and -3 or 99 on a
+    # 14-node set loaded without error
+    value = {"non_integral": 1.5, "nan": float("nan"), "inf": float("inf"),
+             "negative": -3.0, "too_large": 99.0}[fault]
+    target = tmp_path / ("f.json" if fmt == "json" else fmt)
+    fs = _feature_sets()[0]
+    assert fs.num_nodes == 14
+    export_features(fs, fmt, target)
+    # the edge index's v of the first edge, in each format's place for it
+    if fmt == "json":
+        file = target
+        doc = json.loads(file.read_text())
+        doc["edge_index"][0][1] = value
+        file.write_text(json.dumps(doc))
+    elif fmt == "csv":
+        file = target / "edge_er.csv"
+        lines = file.read_bytes().split(b"\r\n")
+        cells = lines[1].split(b",")
+        cells[1] = repr(value).encode()
+        lines[1] = b",".join(cells)
+        file.write_bytes(b"\r\n".join(lines))
+    else:
+        file = target / "edge_index.bin"
+        blob = bytearray(file.read_bytes())
+        blob[24:32] = np.float64(value).astype("<f8").tobytes()
+        file.write_bytes(bytes(blob))
+    with pytest.raises(GraphInputError, match="edge_index holds") as info:
+        load_features(target, fmt)
+    assert str(file) in str(info.value)
+    assert repr(value) in str(info.value)
 
 
 def test_binary_header_and_determinism(tmp_path):

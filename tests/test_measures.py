@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import affinity.measures as measures
 from affinity import solvers
@@ -294,6 +295,11 @@ def test_hitting_time_exact_is_one_laplacian_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def _embedding_resistances(emb) -> np.ndarray:
+    """Squared distances between all embedding rows, by scipy."""
+    return cdist(emb.vectors, emb.vectors, "sqeuclidean")
+
+
 def test_affinity_table_approximate_close_to_exact():
     g = random_connected_graph(40, 4.0, seed=3)
     exact = AffinityTable.exact(g)
@@ -304,10 +310,23 @@ def test_affinity_table_approximate_close_to_exact():
     assert approx.epsilon == 0.1
     bound = 3 * 0.1 * exact.h_max
     assert np.max(np.abs(approx.hit - exact.hit)) <= bound
-    # the Gram-form table agrees with the pointwise vector form
+    # the Gram-form table and the pointwise read agree with Tetali's formula
+    # on the sketch's own resistances
     u, v = int(g.edge_u[0]), int(g.edge_v[0])
-    assert abs(approx.hit[u, v]
-               - hitting_time_via_embedding(sketch, g, u, v)) <= 1e-9
+    want = tetali_hitting_time(g, _embedding_resistances(sketch),
+                               stationary_distribution(g), u, v)
+    assert approx.hit[u, v] == pytest.approx(want, rel=1e-10)
+    assert hitting_time_via_embedding(sketch, g, u, v) \
+        == pytest.approx(want, rel=1e-10)
+
+
+def test_embedding_reads_refuse_another_graphs_embedding():
+    g = random_connected_graph(12, 3.0, seed=4)
+    other = exact_embedding(random_connected_graph(13, 3.0, seed=4))
+    with pytest.raises(ValueError, match="disagree on node count"):
+        hitting_time_via_embedding(other, g, 0, 1)
+    with pytest.raises(ValueError, match="disagree on node count"):
+        AffinityTable.approximate(other, g)
 
 
 def test_embedding_hitting_times_match_grounded_oracle_across_components():
@@ -341,8 +360,10 @@ def test_hitting_times_follow_replaced_vectors_on_a_connected_graph():
         base = AffinityTable.approximate(emb, g).hit
         assert np.allclose(AffinityTable.approximate(rotated, g).hit, base,
                            rtol=1e-10, atol=1e-10 * base.max())
+        res = _embedding_resistances(emb)
+        pi = stationary_distribution(g)
         for u, v in ((0, 5), (7, 2), (29, 0)):
-            want = hitting_time_via_embedding(emb, g, u, v)
+            want = tetali_hitting_time(g, res, pi, u, v)
             assert hitting_time_via_embedding(rotated, g, u, v) \
                 == pytest.approx(want, rel=1e-10)
             assert base[u, v] == pytest.approx(want, rel=1e-10)

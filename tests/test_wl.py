@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinity.graph import build_graph
+from affinity.measures import AffinityTable
 from affinity.oracle import (build_cycle, build_path, counterexample_pair,
                              witness_graph)
 from oracles import automorphism_orbits, disjoint_union, spd_bellman_ford
@@ -163,6 +164,16 @@ def test_expressivity_report_witness():
         assert report[name].strictly_refines_plain
     doc = report.to_dict()
     assert doc["er"]["num_classes"] == 3
+
+
+def test_expressivity_report_reads_edges_without_a_table(monkeypatch):
+    def refuse(cls, graph):
+        raise AssertionError("expressivity_report built an all-pairs table")
+
+    monkeypatch.setattr(AffinityTable, "exact", classmethod(refuse))
+    report = expressivity_report(witness_graph())
+    assert [report[name].num_classes
+            for name in ("plain", "er", "ht", "embedding")] == [1, 3, 3, 3]
 
 
 def test_expressivity_augmented_classes_match_orbits():
