@@ -21,8 +21,7 @@ from .oracle import (broken_cycle_resistance, build_cycle, build_path,
                      counterexample_pair, cycle_resistance, find_witness_graph,
                      grounded_hitting_times, random_connected_graph,
                      witness_graph)
-from .solvers import (PseudoinverseRankError, SolverConfig,
-                      SolverConvergenceError, dense_laplacian,
+from .solvers import (SolverConfig, SolverConvergenceError, dense_laplacian,
                       dense_pseudoinverse, project_out_nullspace,
                       solve_laplacian)
 from .wl import (Coloring, ExpressivityReport, expressivity_report,
@@ -42,9 +41,9 @@ __all__ = [
     "broken_cycle_resistance", "build_cycle", "build_path",
     "counterexample_pair", "cycle_resistance", "find_witness_graph",
     "grounded_hitting_times", "random_connected_graph", "witness_graph",
-    "PseudoinverseRankError", "SolverConfig",
-    "SolverConvergenceError", "dense_laplacian", "dense_pseudoinverse",
-    "project_out_nullspace", "solve_laplacian", "Coloring",
+    "SolverConfig", "SolverConvergenceError", "dense_laplacian",
+    "dense_pseudoinverse", "project_out_nullspace", "solve_laplacian",
+    "Coloring",
     "ExpressivityReport", "expressivity_report", "quantize_edge_values",
     "refines", "wl_refine",
 ]

@@ -28,8 +28,7 @@ from .graph import (CrossComponentError, Graph, GraphInputError,
                     graph_to_json_dict, load_graph)
 from .oracle import (build_cycle, build_path, counterexample_pair,
                      random_connected_graph, witness_graph)
-from .solvers import (PseudoinverseRankError, SolverConfig,
-                      SolverConvergenceError)
+from .solvers import SolverConfig, SolverConvergenceError
 from .suites import SUITE_NAMES, run_suites
 from .wl import expressivity_report
 
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SolverConvergenceError, PseudoinverseRankError) as exc:
+    except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 

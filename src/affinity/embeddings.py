@@ -131,6 +131,8 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         try:
             vectors[:, start:stop] = solve_laplacian(graph, block, solve_config)
         except SolverConvergenceError as exc:
+            if exc.columns is None:  # the graph itself was refused
+                raise
             rows = start + np.asarray(exc.columns)
             worst = int(np.argmax(exc.residuals))
             raise SolverConvergenceError(

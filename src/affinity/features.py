@@ -26,7 +26,7 @@ from .solvers import DENSE_SOLVE_NODES, SolverConfig, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1
@@ -51,12 +51,8 @@ class FeatureSet:
     edge_embedding: np.ndarray | None = None
 
     def family_arrays(self) -> dict:
-        out = {}
-        for name in FAMILIES:
-            arr = getattr(self, name)
-            if arr is not None:
-                out[name] = arr
-        return out
+        arrays = {name: getattr(self, name) for name in FAMILIES}
+        return {name: arr for name, arr in arrays.items() if arr is not None}
 
 
 def graph_digest(graph: Graph) -> str:

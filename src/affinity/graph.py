@@ -103,14 +103,10 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             item = tuple(item)
         except TypeError:
             item = (item,)
-        if len(item) == 2:
-            u, v = item
-            w = 1.0
-        elif len(item) == 3:
-            u, v, w = item
-        else:
+        if len(item) not in (2, 3):
             raise GraphInputError(
                 f"edge {i}: expected (u, v) or (u, v, w), got {item!r}")
+        u, v, w = (*item, 1.0)[:3]  # the weight defaults to 1
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -130,16 +126,24 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.asarray(ws, dtype=np.float64))
 
 
-def _check_integral_ids(col: np.ndarray, name: str) -> np.ndarray:
-    if col.dtype.kind in "iu":
-        return col.astype(np.int64)
-    as_float = np.asarray(col, dtype=np.float64)
-    if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
-        bad = int(np.flatnonzero(~np.isfinite(as_float)
-                                 | (as_float != np.floor(as_float)))[0])
-        raise GraphInputError(
-            f"edge {bad}: {name} endpoint {as_float[bad]!r} is not an integer")
-    return as_float.astype(np.int64)
+def _node_ids(ucol: np.ndarray, vcol: np.ndarray,
+              num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint columns as int64 node ids, checked to be integers in
+    range before the cast, so an id of 2**63 or more is named, not wrapped."""
+    u, v = (col if col.dtype.kind in "iu" else col.astype(np.float64)
+            for col in (ucol, vcol))
+    for col, name in ((u, "first"), (v, "second")):
+        bad = np.flatnonzero(~np.isfinite(col) | (col != np.floor(col)))
+        if bad.size:
+            raise GraphInputError(f"edge {bad[0]}: {name} endpoint "
+                                  f"{col[bad[0]]!r} is not an integer")
+    out_of_range = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+    if np.any(out_of_range):
+        bad = int(np.flatnonzero(out_of_range)[0])
+        # int() of an integral float or a numpy integer is exact
+        raise GraphInputError(f"edge {bad}: endpoint ({int(u[bad])}, "
+                              f"{int(v[bad])}) outside 0..{num_nodes - 1}")
+    return u.astype(np.int64), v.astype(np.int64)
 
 
 def build_graph(num_nodes: int, edges) -> Graph:
@@ -159,15 +163,8 @@ def build_graph(num_nodes: int, edges) -> Graph:
     num_nodes = int(num_nodes)
 
     ucol, vcol, wcol = _as_edge_columns(edges)
-    u = _check_integral_ids(ucol, "first")
-    v = _check_integral_ids(vcol, "second")
+    u, v = _node_ids(ucol, vcol, num_nodes)
     w = np.asarray(wcol, dtype=np.float64)
-
-    out_of_range = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
-    if np.any(out_of_range):
-        bad = int(np.flatnonzero(out_of_range)[0])
-        raise GraphInputError(
-            f"edge {bad}: endpoint ({u[bad]}, {v[bad]}) outside 0..{num_nodes - 1}")
     loops = u == v
     if np.any(loops):
         bad = int(np.flatnonzero(loops)[0])

@@ -235,8 +235,8 @@ class AffinityTable:
     @classmethod
     def exact(cls, graph: Graph) -> "AffinityTable":
         """Dense exact tables in closed form from the pseudoinverse. Cost: one
-        cached eigendecomposition plus O(n^2); no linear solve runs. The graph
-        must be within the pseudoinverse's node cap."""
+        cached inverse of the grounded Laplacian plus O(n^2); no linear solve
+        runs. The graph must be within the pseudoinverse's node cap."""
         return cls._of_gram(graph, dense_pseudoinverse(graph), "exact")
 
     @classmethod

@@ -4,12 +4,13 @@
 route, once, before anything is factored:
 
 - graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the cached dense
-  eigendecomposition pseudoinverse (a plain (n, n) array, which every exact
-  path caps at :data:`EXACT_NODE_CAP` nodes);
+  pseudoinverse (a plain (n, n) array, which every exact path caps at
+  :data:`EXACT_NODE_CAP` nodes), built from the inverse of the grounded
+  Laplacian (the lowest node of each component removed);
 - graphs whose reverse Cuthill-McKee envelope profile is at most
   n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill) solve with
-  a sparse LU of the grounded Laplacian (the lowest node of each component
-  removed), factored once per graph and cached;
+  a sparse LU of the same grounded Laplacian, factored once per graph and
+  cached;
 - all others (expanders, whose factors fill in densely) run block
   preconditioned conjugate gradient (Jacobi preconditioner) against the
   sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph.
@@ -44,8 +45,9 @@ _FACTOR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple | None]" = \
 _INDICATOR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csc_matrix]" = \
     weakref.WeakKeyDictionary()
 
-#: Relative eigenvalue cutoff below which spectrum entries count as zero.
-PINV_RCOND = 1e-10
+#: Largest 1-norm condition number of the grounded Laplacian that
+#: :func:`dense_pseudoinverse` accepts; weights 10^U(-6, 6) stay under 2e12.
+GROUNDED_COND_LIMIT = 1e13
 
 #: Node count above which the exact (dense pseudoinverse) paths refuse a graph.
 EXACT_NODE_CAP = 2048
@@ -64,8 +66,9 @@ DIRECT_PROFILE_EXPONENT = 1.5
 
 class SolverConvergenceError(RuntimeError):
     """A solve cannot meet its residual tolerance: a right-hand side column
-    holds NaN or inf (any route), PCG missed it within its iteration cap, or
-    either sparse route failed its closing true-residual check.
+    holds NaN or inf (any route), PCG missed it within its iteration cap,
+    either sparse route failed its closing true-residual check, or the dense
+    pseudoinverse's grounded Laplacian is singular (no columns to report).
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -76,11 +79,6 @@ class SolverConvergenceError(RuntimeError):
         super().__init__(message)
         self.residuals = residuals
         self.columns = columns
-
-
-class PseudoinverseRankError(RuntimeError):
-    """The number of (near-)zero Laplacian eigenvalues disagreed with the
-    connected-component count, which signals an ill-conditioned input."""
 
 
 @dataclass(frozen=True)
@@ -164,20 +162,26 @@ def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def dense_pseudoinverse(graph: Graph) -> np.ndarray:
-    """Eigendecomposition pseudoinverse of the Laplacian, as an (n, n)
-    symmetric array cached per graph instance. The array is read-only,
-    since every caller shares it; copy it before writing.
+def _kept_nodes(graph: Graph) -> np.ndarray:
+    """Every node but each component's lowest, which is grounded (removed).
+    Labels are numbered by each component's lowest node, so a node is its
+    component's lowest when its label exceeds every earlier node's label."""
+    comp = graph.component_of
+    return np.flatnonzero(comp[1:] <= np.maximum.accumulate(comp)[:-1]) + 1
 
-    Eigenvalues at or below ``PINV_RCOND * lambda_max`` are zeroed; the count
-    of zeroed eigenvalues must equal the number of connected components. A
-    graph without edges has L = 0, so every eigenvalue is zeroed and the
-    pseudoinverse is 0.
+
+def dense_pseudoinverse(graph: Graph) -> np.ndarray:
+    """Pseudoinverse of the Laplacian, an (n, n) symmetric array cached per
+    graph instance and read-only, since every caller shares it.
+
+    L+ = P [L_g^-1 0; 0 0] P, where L_g is the Laplacian without each
+    component's lowest node and P removes each component's mean, from the
+    columns and then from the rows. A graph without edges has L+ = 0.
 
     Raises:
         ValueError: if the graph has more than :data:`EXACT_NODE_CAP` nodes.
-        PseudoinverseRankError: if the numeric nullspace dimension disagrees
-            with the component count.
+        SolverConvergenceError: if the condition number ||L_g||_1
+            ||L_g^-1||_1 exceeds :data:`GROUNDED_COND_LIMIT`.
     """
     n = graph.num_nodes
     if n > EXACT_NODE_CAP:
@@ -186,16 +190,22 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     cached = _PINV_CACHE.get(graph)
     if cached is not None:
         return cached
-    eigvals, eigvecs = np.linalg.eigh(dense_laplacian(graph))
-    cutoff = PINV_RCOND * (float(eigvals[-1]) if n else 0.0)
-    zero = eigvals <= cutoff
-    num_zero = int(zero.sum())
-    if num_zero != graph.num_components:
-        raise PseudoinverseRankError(
-            f"{num_zero} eigenvalues under cutoff {cutoff:.3e} but graph "
-            f"has {graph.num_components} connected components")
-    inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, eigvals))
-    pinv = (eigvecs * inv) @ eigvecs.T
+    keep = _kept_nodes(graph)
+    grounded = dense_laplacian(graph)[keep][:, keep]
+    try:
+        inverse = np.linalg.inv(grounded)
+    except np.linalg.LinAlgError:  # an exactly singular pivot
+        inverse = np.full_like(grounded, np.inf)
+    cond = (np.abs(grounded).sum(axis=0).max(initial=0.0)
+            * np.abs(inverse).sum(axis=0).max(initial=0.0))
+    if not cond <= GROUNDED_COND_LIMIT:
+        raise SolverConvergenceError(
+            f"grounded Laplacian is singular to working precision: condition "
+            f"number {cond:.3e} > {GROUNDED_COND_LIMIT:.0e} for edge weights "
+            f"from {graph.edge_w.min():.3g} to {graph.edge_w.max():.3g}")
+    pinv = np.zeros((n, n))
+    pinv[keep[:, None], keep] = inverse
+    pinv = project_out_nullspace(graph, project_out_nullspace(graph, pinv).T)
     pinv = 0.5 * (pinv + pinv.T)
     pinv.setflags(write=False)
     _PINV_CACHE[graph] = pinv
@@ -300,8 +310,7 @@ def _grounded_factor(graph: Graph):
     n = graph.num_nodes
     factor = None
     if _rcm_profile(lap) <= n ** DIRECT_PROFILE_EXPONENT:
-        grounded = np.unique(graph.component_of, return_index=True)[1]
-        keep = np.delete(np.arange(n), grounded)
+        keep = _kept_nodes(graph)
         factor = (keep, splu(lap[keep][:, keep].tocsc(),
                              permc_spec="MMD_AT_PLUS_A"))
     _FACTOR_CACHE[graph] = factor
@@ -313,19 +322,16 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
 
     The right-hand side is first projected onto the range of L (per-component
-    mean removed). Graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by
-    the cached dense pseudoinverse. Larger graphs whose reverse Cuthill-McKee
-    profile is at most n ** :data:`DIRECT_PROFILE_EXPONENT` solve with the
-    cached sparse LU of the grounded Laplacian; all others run
-    Jacobi-preconditioned block CG. Either sparse route's solution is
-    projected onto the range of L once, and every column's true residual
-    must then meet ``config.rel_tolerance``; ``config.max_iterations`` caps
-    PCG only.
+    mean removed), and the graph picks the route, as the module docstring
+    lists. Either sparse route's solution is projected onto the range of L
+    once, and every column's true residual must then meet
+    ``config.rel_tolerance``; ``config.max_iterations`` caps PCG only.
 
     Raises:
         SolverConvergenceError: on every route, before any solve, when a
-            column of b holds NaN or inf (its residual reads NaN); and when a
-            sparse route misses the tolerance.
+            column of b holds NaN or inf (its residual reads NaN); when the
+            dense pseudoinverse refuses the graph; and when a sparse route
+            misses the tolerance.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=np.float64)

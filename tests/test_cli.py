@@ -100,6 +100,19 @@ def test_compute_solver_failure_is_exit_3(tmp_path, capsys, pcg_route):
     assert "solver" in capsys.readouterr().err
 
 
+def test_compute_singular_grounded_laplacian_is_exit_3(tmp_path, capsys):
+    # a 3-node path with weights 1e-8 and 1e8 is singular in float64
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps(
+        {"num_nodes": 3, "edges": [[0, 1, 1e-8], [1, 2, 1e8]]}))
+    code = main(["compute", "--input", str(graph_file), "--features", "er",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "edge weights from 1e-08 to 1e+08" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_environment_does_not_change_compute(tmp_path, monkeypatch):
     # the solver settings are flags only: values that would break the
     # solve, set in the environment, leave the run and its bytes unchanged

@@ -119,7 +119,7 @@ def test_assemble_validation():
         assemble_features(g, ["nope"])
     with pytest.raises(ValueError, match="no feature"):
         assemble_features(g, [])
-    # one node over the exact cap; the cap is checked before any eigh
+    # one node over the exact cap; the cap is checked before any inverse
     big = build_graph(2049, [(i, i + 1) for i in range(2048)])
     with pytest.raises(ValueError, match="2048 nodes.*epsilon"):
         assemble_features(big, ["edge_er"])

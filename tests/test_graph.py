@@ -64,6 +64,27 @@ def test_out_of_range_endpoint_rejected():
         build_graph(3, [(-1, 2)])
 
 
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 1e20)], "0, 100000000000000000000"),
+    ([(0, 2 ** 63)], "0, 9223372036854775808"),
+    ([(-2 ** 64, 1)], "-18446744073709551616, 1"),
+    (np.array([[0, 2 ** 63]], dtype=np.uint64), "0, 9223372036854775808"),
+])
+def test_endpoint_beyond_int64_is_named_not_wrapped(edges, named):
+    # a cast to int64 would warn (an error under this suite's filterwarnings)
+    # and report the endpoint as -9223372036854775808
+    with pytest.raises(GraphInputError,
+                       match=rf"^edge 0: endpoint \({named}\) outside 0..2$"):
+        build_graph(3, edges)
+
+
+def test_edge_list_id_beyond_int64_is_refused():
+    # the id becomes the node count too; it must fail on range, not on a cast
+    with pytest.raises(GraphInputError, match="outside") as info:
+        graph_from_edgelist("0 99999999999999999999\n")
+    assert "-9223372036854775808" not in str(info.value)
+
+
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_weights_rejected(weight):
     with pytest.raises(GraphInputError, match="finite and > 0"):

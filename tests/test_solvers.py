@@ -9,15 +9,17 @@ import scipy.sparse as sparse
 
 from affinity import solvers
 from affinity.graph import build_graph
-from affinity.solvers import (PseudoinverseRankError, SolverConfig,
-                              SolverConvergenceError, dense_laplacian,
-                              dense_pseudoinverse, laplacian_csr,
-                              project_out_nullspace, solve_laplacian)
+from affinity.solvers import (SolverConfig, SolverConvergenceError,
+                              dense_laplacian, dense_pseudoinverse,
+                              laplacian_csr, project_out_nullspace,
+                              solve_laplacian)
 from affinity.embeddings import sketched_embedding
+from affinity.features import assemble_features
 from affinity.measures import (AffinityTable, effective_resistance,
                                hitting_time_exact)
 from affinity.oracle import build_path, random_connected_graph
-from oracles import build_grid, disjoint_union
+from oracles import (build_grid, disjoint_union, pinv_laplacian,
+                     rational_edge_resistances)
 
 
 def test_config_validation():
@@ -83,6 +85,102 @@ def test_pseudoinverse_triangle():
 def test_pseudoinverse_empty_graph():
     g = build_graph(4, [])
     assert np.array_equal(dense_pseudoinverse(g), np.zeros((4, 4)))
+
+
+def _assert_matches_numpy_pinv(g):
+    # the reference is an SVD of a Laplacian the oracle builds itself, never
+    # a grounded factor
+    expected = pinv_laplacian(g)
+    got = dense_pseudoinverse(g)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_pseudoinverse_matches_numpy_pinv(corpus_small):
+    for g in corpus_small:
+        _assert_matches_numpy_pinv(g)
+
+
+def test_pseudoinverse_matches_numpy_pinv_across_components():
+    # a weighted 4-node component, a triangle and an isolated node: each
+    # component's lowest node (0, 4, 7) is grounded
+    g = build_graph(8, [(0, 2, 2.0), (2, 1, 0.5), (1, 3), (0, 3, 3.0),
+                        (4, 5), (5, 6, 0.25), (4, 6)])
+    assert [g.component_nodes(label)[0] for label in range(3)] == [0, 4, 7]
+    assert g.num_components == 3
+    _assert_matches_numpy_pinv(g)
+    edgeless = build_graph(5, [])
+    assert np.array_equal(pinv_laplacian(edgeless), np.zeros((5, 5)))
+    _assert_matches_numpy_pinv(edgeless)
+
+
+def test_long_path_edge_resistances_are_one():
+    # every edge of a unit path is a bridge of resistance exactly 1; an
+    # eigendecomposition pseudoinverse was 1.2e-12 off here
+    g = build_path(500)
+    er = assemble_features(g, ["edge_er"]).edge_er
+    assert np.max(np.abs(er - 1.0)) <= 1e-13
+
+
+def _spread_graph(n, spread, seed):
+    """random_connected_graph(n, 3.0, seed=seed) with its weights redrawn as
+    10^U(-spread, spread) from ``seed``."""
+    g = random_connected_graph(n, 3.0, seed=seed)
+    w = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread,
+                                                     g.num_edges)
+    return build_graph(n, np.column_stack([g.edge_u, g.edge_v, w]))
+
+
+def test_rational_oracle_agrees_with_numpy_pinv():
+    g = random_connected_graph(12, 3.0, (0.5, 2.0), seed=30)
+    ref = rational_edge_resistances(g)
+    expected = pinv_laplacian(g)
+    d = np.diag(expected)
+    er = d[g.edge_u] + d[g.edge_v] - 2.0 * expected[g.edge_u, g.edge_v]
+    assert np.max(np.abs(er - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_weight_spread_is_accepted_and_accurate(seed):
+    # weights over twelve decades: the grounded Laplacian stays far from
+    # singular, and exact resistances keep six digits against exact
+    # rational arithmetic
+    g = _spread_graph(30, 6, 500 + seed)
+    er = assemble_features(g, ["edge_er"]).edge_er
+    ref = rational_edge_resistances(g)
+    assert np.max(np.abs(er - ref) / ref) <= 1e-6
+
+
+def test_condition_limit_sits_between_spreads_six_and_eight():
+    # 60-node graphs: weights over twelve decades reach condition numbers
+    # up to 2e12 and are accepted; over sixteen decades, from 1.8e13 up,
+    # and are refused
+    for seed in range(100, 120):
+        dense_pseudoinverse(_spread_graph(60, 6, seed))
+        with pytest.raises(SolverConvergenceError, match="condition number"):
+            dense_pseudoinverse(_spread_graph(60, 8, seed))
+
+
+def _singular_path():
+    # Res(0, 1) = 1e8, but 1e8 + 1e-8 rounds to 1e8 + 1.5e-8 in float64, and
+    # the grounded inverse would give 6.7e7: condition number 2.7e16
+    return build_graph(3, [(0, 1, 1e-8), (1, 2, 1e8)])
+
+
+def test_singular_grounded_laplacian_is_refused():
+    weights = r"1e-08 to 1e\+08"
+    with pytest.raises(SolverConvergenceError, match="condition number "
+                       r"2\.68.e\+16 > 1e\+13.*" + weights) as info:
+        dense_pseudoinverse(_singular_path())
+    assert info.value.columns is None and info.value.residuals is None
+    with pytest.raises(SolverConvergenceError, match=weights):
+        AffinityTable.exact(_singular_path())
+    for epsilon in (None, 0.5):
+        with pytest.raises(SolverConvergenceError, match=weights):
+            assemble_features(_singular_path(), ["edge_er", "edge_ht"],
+                              epsilon=epsilon)
+    # 1 + 1e-17 rounds to 1: an exactly singular pivot, same error
+    with pytest.raises(SolverConvergenceError, match="number inf"):
+        dense_pseudoinverse(build_graph(3, [(0, 1, 1e-17), (1, 2, 1.0)]))
 
 
 def test_pseudoinverse_zero_count_matches_components(corpus_small):
@@ -258,11 +356,6 @@ def test_batched_and_single_column_solves_match(pcg_route):
     for j in range(5):
         single = solve_laplacian(g, block[:, j])
         assert np.max(np.abs(single - batched[:, j])) <= 1e-12
-
-
-def test_rank_error_name_is_exported():
-    # the rank check itself is exercised indirectly; here we pin the contract
-    assert issubclass(PseudoinverseRankError, RuntimeError)
 
 
 # ------------------------------------------------ the sparse LU route
