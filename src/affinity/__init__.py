@@ -1,7 +1,7 @@
 """Random-walk affinity measures on weighted graphs.
 
 Effective resistances, hitting and commute times, and resistive embeddings,
-computed exactly on small graphs or through Gaussian sketching plus Laplacian
+computed exactly on small graphs or through random-sign sketching plus Laplacian
 solves on large ones, with refinement-based expressivity demos.
 """
 

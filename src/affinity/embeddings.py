@@ -3,10 +3,11 @@
 The exact embedding of node v is the column of C^(1/2) B L+ indexed by v
 (B the edge-node incidence matrix, C the diagonal conductance matrix), so
 squared distances between rows reproduce effective resistances exactly.
-The sketched variant compresses the m-dimensional rows with a dense Gaussian
-projection applied implicitly: row i of the sketch is L+ B^T C^(1/2) g_i / sqrt(k)
-for a standard normal g_i, which needs one Laplacian solve per row and never
-materializes the projection matrix.
+The sketched variant compresses the m-dimensional rows with a random sign
+(Rademacher) projection: row i of the sketch is L+ B^T C^(1/2) q_i / sqrt(k)
+for m independent +-1 entries q_i, which needs one Laplacian solve per row.
+Each row's signs sit at a fixed place of one counter-based stream, so a row
+does not depend on how rows are batched.
 
 :func:`random_rotation` returns a plain (dim, dim) rotation array; it is
 applied to feature sets by :func:`affinity.features.augment_with_rotation`,
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .graph import Graph, _is_int
 from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
@@ -83,21 +85,53 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
     return ResistiveEmbedding(vectors=vectors, kind="exact")
 
 
+#: Name of the sketch's projection, recorded in the export manifest.
+PROJECTION = "rademacher-philox4x64"
+
+#: Sign entries drawn and folded in per sparse product: a chunk's rows go in
+#: sub-blocks of at most this many float64 entries (32 MiB).
+_SIGN_BLOCK_ENTRIES = 1 << 22
+
+
+def _signs(key: np.ndarray, start: int, stop: int,
+           num_edges: int) -> np.ndarray:
+    """(num_edges, stop - start) float64 array whose column i - start holds
+    the signs of sketch row i, +1 for a 0 bit and -1 for a 1 bit. Row i owns
+    the W = ceil(num_edges / 256) Philox4x64 counter steps from counter
+    i * W, i.e. the 4 W words of ``Philox(key=key, counter=i *
+    W).random_raw(4 * W)``, and its bit e is bit e % 64 of word e // 64."""
+    steps = -(-num_edges // 256)
+    words = np.random.Philox(key=key, counter=start * steps).random_raw(
+        (stop - start) * 4 * steps).astype("<u8", copy=False)
+    row_bytes = words.view(np.uint8).reshape(stop - start, 32 * steps)
+    # unpacking the transposed bytes along axis 0 puts edge e in row e
+    signs = np.unpackbits(row_bytes.T, axis=0, count=num_edges,
+                          bitorder="little").astype(np.float64, order="C")
+    signs *= -2.0
+    signs += 1.0
+    return signs
+
+
 def sketched_embedding(graph: Graph, epsilon: float, seed: int,
                        config: SolverConfig | None = None,
                        chunk_size: int = 128) -> ResistiveEmbedding:
-    """Gaussian-sketched resistive embedding in k = O(log(mn)/eps^2) dims.
+    """Random-sign-sketched resistive embedding in k = O(log(mn)/eps^2) dims.
 
-    Each sketch row is generated from an independent, reproducible stream
-    (seeded by (seed, row index)), folded into the node space with one pass
-    over the edges, and pushed through a Laplacian solve. The solve tolerance
-    is tightened to min(config.rel_tolerance, epsilon / 10) so solver error
+    Row i is L+ B^T C^(1/2) q_i / sqrt(k) for m signs q_i read from one
+    Philox4x64 stream keyed by ``SeedSequence(seed)`` (layout: :func:`_signs`);
+    random +-1 projections keep the JL guarantee of Gaussian ones at the
+    same k (Achlioptas 2003). Each chunk of ``chunk_size`` rows is folded
+    into the node space by one product with the sparse S = B^T C^(1/2) /
+    sqrt(k) (one per :data:`_SIGN_BLOCK_ENTRIES` signs on large graphs) and
+    goes through one Laplacian solve, so a row's values depend on
+    ``chunk_size`` only through the solve's rounding. The solve tolerance is
+    tightened to min(config.rel_tolerance, epsilon / 10) so solver error
     stays well under the sketch distortion.
 
     Args:
         graph: input graph; must have at least one edge.
         epsilon: target distortion in (0, 1).
-        seed: non-negative base seed for the Gaussian streams.
+        seed: non-negative int key of the sign stream.
         config: solver settings (tolerance, PCG iteration cap), used when
             the graph is large enough for :func:`solve_laplacian` to take a
             sparse route.
@@ -115,19 +149,22 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
     config = config or SolverConfig()
     solve_config = replace(config, rel_tolerance=min(config.rel_tolerance,
                                                      epsilon / 10.0))
-    root_w = np.sqrt(graph.edge_w)
-    scale = 1.0 / math.sqrt(k)
+    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    # column e of S holds +-sqrt(w_e) / sqrt(k) at the ends of edge e
+    edge_mass = np.sqrt(graph.edge_w) * (1.0 / math.sqrt(k))
+    fold = sparse.csc_matrix(
+        (np.column_stack([edge_mass, -edge_mass]).ravel(),
+         np.column_stack([graph.edge_u, graph.edge_v]).ravel(),
+         np.arange(0, 2 * m + 1, 2)), shape=(n, m))
+    rows_per_product = max(1, _SIGN_BLOCK_ENTRIES // m)
 
     vectors = np.empty((n, k))
     for start in range(0, k, chunk_size):
         stop = min(k, start + chunk_size)
         block = np.empty((n, stop - start))
-        for i in range(start, stop):
-            gauss = np.random.default_rng([seed, i]).standard_normal(m)
-            edge_mass = gauss * root_w * scale
-            block[:, i - start] = (
-                np.bincount(graph.edge_u, weights=edge_mass, minlength=n)
-                - np.bincount(graph.edge_v, weights=edge_mass, minlength=n))
+        for sub in range(start, stop, rows_per_product):
+            end = min(stop, sub + rows_per_product)
+            block[:, sub - start:end - start] = fold @ _signs(key, sub, end, m)
         try:
             vectors[:, start:stop] = solve_laplacian(graph, block, solve_config)
         except SolverConvergenceError as exc:

@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import (JL_CONSTANT, exact_embedding, random_rotation,
-                         sketched_embedding)
+from .embeddings import (JL_CONSTANT, PROJECTION, exact_embedding,
+                         random_rotation, sketched_embedding)
 from .graph import Graph, GraphInputError
 from .measures import _closed_form
-from .solvers import DENSE_SOLVE_NODES, SolverConfig, dense_pseudoinverse
+from .solvers import SolverConfig, _solve_route, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1
@@ -122,9 +122,11 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "epsilon": None if epsilon is None else gram.epsilon,
         "seed": None if epsilon is None else gram.seed,
         "jl_constant": None if epsilon is None else JL_CONSTANT,
+        "projection": None if epsilon is None else PROJECTION,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
-        # the node count under which solves go dense, then the PCG settings
-        "solver": {"dense_threshold": DENSE_SOLVE_NODES, **asdict(config)},
+        # the route the sketch's solves took, then the sparse routes' settings
+        "solver": {"route": None if epsilon is None else _solve_route(graph),
+                   **asdict(config)},
         "rotation_seeds": [],
     }
     return FeatureSet(

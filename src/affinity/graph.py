@@ -9,6 +9,8 @@ components and the sparse Laplacian, its one adjacency structure.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +84,8 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split an (m, 2) / (m, 3) array, or a sequence of (u, v) / (u, v, w)
     items of int, float or numpy numbers (not booleans), into (u, v, w)
     columns, defaulting weights to 1."""
-    if isinstance(edges, np.ndarray):
+    # an object array may hold Python ints of any size: read it item by item
+    if isinstance(edges, np.ndarray) and edges.dtype != object:
         if edges.size == 0:
             return (np.zeros(0, np.int64), np.zeros(0, np.int64),
                     np.zeros(0, np.float64))
@@ -122,8 +125,17 @@ def _as_edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"edge {i}: {edge!r} holds a boolean"
             if isinstance(part, (bool, np.bool_))
             else f"edge {i}: {part!r} in {edge!r} is not a number")
-    return (np.asarray(us, dtype=np.float64), np.asarray(vs, dtype=np.float64),
-            np.asarray(ws, dtype=np.float64))
+    try:
+        return tuple(np.asarray(col, dtype=np.float64) for col in (us, vs, ws))
+    except OverflowError:  # a Python int beyond the float64 range
+        i, name, part = next(
+            (i, name, part) for i, edge in enumerate(zip(us, vs, ws))
+            for name, part in zip(("first endpoint", "second endpoint",
+                                   "weight"), edge)
+            if abs(part) > sys.float_info.max)
+        digits = math.floor(math.log10(abs(part))) + 1
+        raise GraphInputError(f"edge {i}: {name} has {digits} digits, beyond "
+                              f"the float64 range") from None
 
 
 def _node_ids(ucol: np.ndarray, vcol: np.ndarray,

@@ -263,7 +263,7 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
     rz = np.einsum("ij,ij->j", r, z)
 
     for iterations in range(max_iterations + 1):
-        resid = np.linalg.norm(r, axis=0)
+        resid = np.sqrt(np.einsum("ij,ij->j", r, r))
         active = ~(resid <= rel_tolerance * bnorm)
         if not active.any():
             return x, iterations
@@ -317,6 +317,15 @@ def _grounded_factor(graph: Graph):
     return factor
 
 
+def _solve_route(graph: Graph) -> str:
+    """The route :func:`solve_laplacian` takes for the graph: "dense" under
+    :data:`DENSE_SOLVE_NODES` nodes, else "sparse LU" when
+    :func:`_grounded_factor` factors the graph, else "PCG"."""
+    if graph.num_nodes < DENSE_SOLVE_NODES:
+        return "dense"
+    return "PCG" if _grounded_factor(graph) is None else "sparse LU"
+
+
 def solve_laplacian(graph: Graph, b: np.ndarray,
                     config: SolverConfig | None = None) -> np.ndarray:
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
@@ -347,18 +356,17 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
             f"first at column {int(bad[0])}",
             residuals=np.full(bad.size, np.nan), columns=bad)
     projected = project_out_nullspace(graph, mat)
-    n = graph.num_nodes
-    if n < DENSE_SOLVE_NODES:
+    route = _solve_route(graph)
+    if route == "dense":
         x = dense_pseudoinverse(graph) @ projected
         return x[:, 0] if single else x
+    n = graph.num_nodes
     lap = laplacian_csr(graph)
-    if (factor := _grounded_factor(graph)) is not None:
-        route = "sparse LU"
-        keep, lu = factor
+    if route == "sparse LU":
+        keep, lu = _grounded_factor(graph)
         x = np.zeros_like(projected)
         x[keep] = lu.solve(projected[keep])
     else:
-        route = "PCG"
         safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)
         x, _ = pcg(lambda block: lap @ block, 1.0 / safe_deg, projected,
                    config.rel_tolerance, config.iteration_cap(n))

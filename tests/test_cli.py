@@ -113,6 +113,20 @@ def test_compute_singular_grounded_laplacian_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.json", json.dumps({"num_nodes": 3, "edges": [[0, 10 ** 400]]})),
+    ("g.txt", f"0 1\n1 {10 ** 400}\n"),
+])
+def test_compute_endpoint_beyond_float64_is_exit_2(tmp_path, capsys, name,
+                                                   text):
+    graph_file = tmp_path / name
+    graph_file.write_text(text)
+    code = main(["compute", "--input", str(graph_file), "--features", "er",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "401 digits, beyond the float64 range" in capsys.readouterr().err
+
+
 def test_environment_does_not_change_compute(tmp_path, monkeypatch):
     # the solver settings are flags only: values that would break the
     # solve, set in the environment, leave the run and its bytes unchanged

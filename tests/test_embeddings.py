@@ -9,7 +9,7 @@ from affinity.graph import build_graph
 from affinity.measures import (effective_resistance,
                                effective_resistance_from_embedding)
 from affinity.oracle import build_cycle, random_connected_graph
-from oracles import build_grid
+from oracles import build_grid, disjoint_union, pinv_laplacian
 from affinity.solvers import SolverConfig, SolverConvergenceError
 
 
@@ -178,3 +178,60 @@ def test_random_rotation_properties():
 def test_rotation_dim_one():
     assert np.allclose(random_rotation(1, 0), [[1.0]])
 
+
+
+def _readme_signs(seed: int, k: int, m: int) -> np.ndarray:
+    """(k, m) sign matrix Q rebuilt from the stream layout the README gives:
+    row i is ``Philox(key=key, counter=i * W).random_raw(4 * W)`` with
+    W = ceil(m / 256), and its bit e, bit e % 64 of word e // 64, is +1 when
+    0 and -1 when 1."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    steps = -(-m // 256)
+    edges = np.arange(m)
+    q = np.empty((k, m))
+    for i in range(k):
+        words = np.random.Philox(key=key, counter=i * steps).random_raw(
+            4 * steps)
+        bits = (words[edges // 64] >> (edges % 64).astype(np.uint64)) & 1
+        q[i] = np.where(bits == 1, -1.0, 1.0)
+    return q
+
+
+def _readme_sketch(g, epsilon: float, seed: int) -> np.ndarray:
+    """pinv(L) B^T C^(1/2) Q^T / sqrt(k), with the incidence B built here
+    from the edge arrays and L+ from ``numpy.linalg.pinv``."""
+    k = jl_dimension(g.num_nodes, g.num_edges, epsilon)
+    incidence = np.zeros((g.num_edges, g.num_nodes))
+    edges = np.arange(g.num_edges)
+    incidence[edges, g.edge_u] = 1.0
+    incidence[edges, g.edge_v] = -1.0
+    weighted = incidence.T * np.sqrt(g.edge_w)
+    q = _readme_signs(seed, k, g.num_edges)
+    return pinv_laplacian(g) @ weighted @ q.T / np.sqrt(k)
+
+
+@pytest.mark.parametrize("name", ["weighted", "two_components"])
+def test_sketch_follows_the_readme_stream_layout(name):
+    if name == "weighted":
+        g = random_connected_graph(40, 4.0, (0.5, 2.0), seed=21)
+    else:
+        g, _ = disjoint_union(random_connected_graph(25, 3.0, seed=22),
+                              random_connected_graph(15, 3.0, (0.5, 2.0),
+                                                     seed=23))
+    for seed in (0, 3):
+        expected = _readme_sketch(g, 0.5, seed)
+        got = sketched_embedding(g, 0.5, seed=seed, chunk_size=50).vectors
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_sketch_seed_beyond_64_bits_keys_its_own_stream():
+    g = random_connected_graph(40, 4.0, (0.5, 2.0), seed=21)
+    big = 2 ** 70 + 9
+    wide = sketched_embedding(g, 0.5, seed=big)
+    low = sketched_embedding(g, 0.5, seed=big % 2 ** 64)
+    assert wide.seed == big
+    assert not np.array_equal(wide.vectors, low.vectors)
+    expected = _readme_sketch(g, 0.5, big)
+    assert np.max(np.abs(wide.vectors - expected)) \
+        <= 1e-9 * np.max(np.abs(expected))

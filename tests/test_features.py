@@ -16,7 +16,7 @@ from affinity.graph import GraphInputError, build_graph
 from affinity.measures import effective_resistance
 from affinity.oracle import (build_cycle, grounded_hitting_times,
                              random_connected_graph)
-from oracles import pinv_resistances
+from oracles import build_grid, pinv_resistances
 
 
 def _path3():
@@ -104,6 +104,27 @@ def test_assemble_sketched_metadata():
     assert fs.manifest["seed"] == 9
     assert fs.manifest["embedding_dim"] == fs.node_embedding.shape[1]
     assert fs.manifest["graph_sha256"] == graph_digest(g)
+
+
+def test_manifest_names_the_projection_and_the_solve_route(pcg_route):
+    assert features.FORMAT_VERSION == 4
+    exact = assemble_features(_path3(), ["edge_er"]).manifest
+    assert exact["format_version"] == 4
+    assert exact["projection"] is None and exact["solver"]["route"] is None
+    graphs = {"dense": random_connected_graph(30, 3.0, seed=2),
+              "sparse LU": build_grid(25, 25),
+              "PCG": random_connected_graph(600, 3.0, seed=8)}
+    for route, g in graphs.items():
+        manifest = assemble_features(g, ["edge_er"], epsilon=0.5,
+                                     seed=1).manifest
+        assert manifest["projection"] == "rademacher-philox4x64"
+        assert manifest["solver"] == {"route": route, "rel_tolerance": 1e-8,
+                                      "max_iterations": None}
+    # the route is read where the solve reads it, so the fixture steers both
+    pcg_route()
+    manifest = assemble_features(graphs["dense"], ["edge_er"], epsilon=0.5,
+                                 seed=1).manifest
+    assert manifest["solver"]["route"] == "PCG"
 
 
 def test_assemble_sketched_is_deterministic():

@@ -85,6 +85,22 @@ def test_edge_list_id_beyond_int64_is_refused():
     assert "-9223372036854775808" not in str(info.value)
 
 
+HUGE = 10 ** 400  # no float64 holds it
+
+
+def test_endpoint_beyond_float64_is_named_by_both_parsers():
+    text = json.dumps({"num_nodes": 3, "edges": [[0, 1], [0, HUGE]]})
+    with pytest.raises(GraphInputError, match=r"^edge 1: second endpoint "
+                       r"has 401 digits, beyond the float64 range$"):
+        graph_from_json(text)
+    with pytest.raises(GraphInputError, match=r"^edge 0: first endpoint "
+                       r"has 401 digits, beyond the float64 range$"):
+        graph_from_edgelist(f"{HUGE} 1\n")
+    # an object array holds the Python int as it is
+    with pytest.raises(GraphInputError, match=r"^edge 0: weight has 401"):
+        build_graph(3, np.array([[0, 1, HUGE]], dtype=object))
+
+
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_weights_rejected(weight):
     with pytest.raises(GraphInputError, match="finite and > 0"):
