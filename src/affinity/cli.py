@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
 non-convergence. The solver settings of compute and bench are flags only
 (--tol, --max-iter), so one command line writes the same bytes in every
-shell; the graph's size and envelope profile pick the solve route.
+shell; the graph's size, its component sizes and its envelope profile pick
+the solve route, which bench reports.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graph import (CrossComponentError, Graph, GraphInputError,
                     graph_to_json_dict, load_graph)
 from .oracle import (build_cycle, build_path, counterexample_pair,
                      random_connected_graph, witness_graph)
-from .solvers import SolverConfig, SolverConvergenceError
+from .solvers import SolverConfig, SolverConvergenceError, _solve_route
 from .suites import SUITE_NAMES, run_suites
 from .wl import expressivity_report
 
@@ -269,6 +270,7 @@ def _cmd_bench(args) -> int:
         "num_edges": graph.num_edges,
         "epsilon": args.epsilon,
         "sketch_dim": embedding.dim,
+        "route": _solve_route(graph),
         "build_seconds": round(build_time, 3),
         "sketch_seconds": round(sketch_time, 3),
     }

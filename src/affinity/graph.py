@@ -251,7 +251,8 @@ def graph_from_json(text: str | bytes | dict) -> Graph:
     if isinstance(text, (str, bytes)):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal
+            # beyond Python's digit limit for int conversion
             raise GraphInputError(f"invalid JSON: {exc}") from exc
     else:
         obj = text
@@ -270,11 +271,19 @@ def graph_from_json(text: str | bytes | dict) -> Graph:
     return build_graph(num_nodes, edges_raw)
 
 
+def _excerpt(text: str) -> str:
+    """repr of text, cut to its first 60 characters when longer."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def graph_from_edgelist(text: str) -> Graph:
     """Parse whitespace-separated edge-list text: one ``u v [w]`` per line.
 
     Blank lines and lines starting with ``#`` are skipped. The node count is
-    ``max id + 1``. Errors carry the 1-based line number.
+    ``max id + 1``. Errors carry the 1-based line number and at most the
+    first 60 characters of the offending text.
     """
     edges: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -284,20 +293,22 @@ def graph_from_edgelist(text: str) -> Graph:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise GraphInputError(
-                f"line {lineno}: expected 'u v' or 'u v w', got {line!r}")
+                f"line {lineno}: expected 'u v' or 'u v w', got {_excerpt(line)}")
         try:
             u = int(parts[0])
             v = int(parts[1])
         except ValueError:
             raise GraphInputError(
-                f"line {lineno}: endpoints must be integers, got {line!r}") from None
+                f"line {lineno}: endpoints must be integers, got "
+                f"{_excerpt(line)}") from None
         w = 1.0
         if len(parts) == 3:
             try:
                 w = float(parts[2])
             except ValueError:
                 raise GraphInputError(
-                    f"line {lineno}: weight must be a number, got {parts[2]!r}") from None
+                    f"line {lineno}: weight must be a number, got "
+                    f"{_excerpt(parts[2])}") from None
         edges.append((u, v, w))
     if not edges:
         raise GraphInputError("edge-list input contains no edges")

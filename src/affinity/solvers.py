@@ -7,13 +7,16 @@ route, once, before anything is factored:
   pseudoinverse (a plain (n, n) array, which every exact path caps at
   :data:`EXACT_NODE_CAP` nodes), built from the inverse of the grounded
   Laplacian (the lowest node of each component removed);
-- graphs whose reverse Cuthill-McKee envelope profile is at most
-  n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill) solve with
-  a sparse LU of the same grounded Laplacian, factored once per graph and
-  cached;
-- all others (expanders, whose factors fill in densely) run block
-  preconditioned conjugate gradient (Jacobi preconditioner) against the
-  sparse Laplacian :func:`~affinity.graph.build_graph` stores on the graph.
+- graphs whose components all have under :data:`DENSE_SOLVE_NODES` nodes
+  (unions of small graphs, such as a batch of molecules), and graphs whose
+  reverse Cuthill-McKee envelope profile is at most
+  n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill), solve
+  with a sparse LU of the same grounded Laplacian, factored once per graph
+  and cached;
+- all others (graphs holding a large expander, whose factor fills in
+  densely) run block preconditioned conjugate gradient (Jacobi
+  preconditioner) against the sparse Laplacian
+  :func:`~affinity.graph.build_graph` stores on the graph.
 
 A right-hand side column holding NaN or inf is refused before any route
 runs. Every route solves for the right-hand side with the nullspace of
@@ -56,11 +59,15 @@ EXACT_NODE_CAP = 2048
 #: graphs go through the dense pseudoinverse.
 DENSE_SOLVE_NODES = 512
 
-#: A graph from DENSE_SOLVE_NODES nodes up takes the sparse LU route when its
-#: reverse Cuthill-McKee profile is at most n ** DIRECT_PROFILE_EXPONENT, i.e.
-#: when the mean envelope width is at most sqrt(n). Grids sit near 0.7 sqrt(n)
+#: A graph from DENSE_SOLVE_NODES nodes up with a component of
+#: DENSE_SOLVE_NODES nodes or more takes the sparse LU route when its reverse
+#: Cuthill-McKee profile is at most n ** DIRECT_PROFILE_EXPONENT, i.e. when
+#: the mean envelope width is at most sqrt(n). Grids sit near 0.7 sqrt(n)
 #: and paths far below; random expanders sit at 3-130 sqrt(n), and factoring
 #: a 20k-node one took 169 s on 2 cores, where its whole PCG sketch took 11 s.
+#: The rule ignores components: four disjoint 500-node expanders sit at
+#: 3.5 sqrt(n) yet factor in 0.03 s, so unions of small components go direct
+#: whatever their profile.
 DIRECT_PROFILE_EXPONENT = 1.5
 
 
@@ -300,16 +307,18 @@ def _rcm_profile(lap: sparse.csr_matrix) -> int:
 
 def _grounded_factor(graph: Graph):
     """The graph's sparse LU route, decided and factored once per graph:
-    None when its profile predicts too much fill for a factor, else (kept
-    nodes, SuperLU factor of the Laplacian restricted to them), with the
-    lowest node of every component grounded (removed), which leaves a
-    nonsingular matrix."""
+    (kept nodes, SuperLU factor of the Laplacian restricted to them), with
+    the lowest node of every component grounded (removed), which leaves a
+    nonsingular matrix, when every component has under
+    :data:`DENSE_SOLVE_NODES` nodes (a component of n_c nodes fills at most
+    about n_c ** 2 entries, so the factor holds at most about
+    DENSE_SOLVE_NODES * n) or the profile predicts little fill; else None."""
     if graph in _FACTOR_CACHE:
         return _FACTOR_CACHE[graph]
     lap = laplacian_csr(graph)
-    n = graph.num_nodes
     factor = None
-    if _rcm_profile(lap) <= n ** DIRECT_PROFILE_EXPONENT:
+    if (np.bincount(graph.component_of).max(initial=0) < DENSE_SOLVE_NODES
+            or _rcm_profile(lap) <= graph.num_nodes ** DIRECT_PROFILE_EXPONENT):
         keep = _kept_nodes(graph)
         factor = (keep, splu(lap[keep][:, keep].tocsc(),
                              permc_spec="MMD_AT_PLUS_A"))

@@ -391,8 +391,8 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
     """Two CLI invocations with the same seed write byte-identical exports
     in every format, including the sketched and rotated feature families,
     on every solve route: a 60-node graph takes the dense pseudoinverse, a
-    graph of two random components plus an isolated node, at
-    DENSE_SOLVE_NODES nodes or more, runs block PCG with the multi-component
+    graph of two random components, one of them of DENSE_SOLVE_NODES nodes
+    or more, plus an isolated node runs block PCG with the multi-component
     projection, and a 30 x 30 grid takes the sparse LU route."""
     cli = [sys.executable, "-m", "affinity.cli"]
     graph_path = tmp_path / "graph.json"
@@ -404,7 +404,7 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
         epsilon = "0.25"
     elif route == "pcg":
         joined, _ = disjoint_union(
-            af.random_connected_graph(300, 4.0, (0.5, 2.0), seed=7),
+            af.random_connected_graph(600, 6.0, (0.5, 2.0), seed=7),
             af.random_connected_graph(250, 4.0, (0.5, 2.0), seed=8))
         g = af.build_graph(joined.num_nodes + 1, np.column_stack(
             [joined.edge_u, joined.edge_v, joined.edge_w]))

@@ -221,6 +221,12 @@ def test_bench_tiny(capsys):
     assert doc["num_nodes"] == 500
     assert doc["sketch_dim"] >= 1
     assert doc["sketch_seconds"] >= 0.0
+    assert doc["route"] == "dense"
+
+
+def test_bench_reports_the_solve_route(capsys):
+    assert main(["bench", "--n", "600", "--m", "1800", "--epsilon", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "PCG"
 
 
 def test_dense_threshold_flag_is_exit_2(tmp_path, capsys):

@@ -101,6 +101,29 @@ def test_endpoint_beyond_float64_is_named_by_both_parsers():
         build_graph(3, np.array([[0, 1, HUGE]], dtype=object))
 
 
+# past Python's default limit of 4,300 digits for int conversion
+LONG_ID = "1" + "0" * 5000
+
+
+def test_json_id_beyond_the_int_digit_limit_is_an_input_error():
+    text = '{"num_nodes": 3, "edges": [[0, %s]]}' % LONG_ID
+    with pytest.raises(GraphInputError, match=r"^invalid JSON: .*4300"):
+        graph_from_json(text)
+
+
+@pytest.mark.parametrize("line, echoed", [
+    (f"0 {LONG_ID}", f"0 {LONG_ID}"),             # endpoint not an int
+    (f"0 1 {LONG_ID}x", f"{LONG_ID}x"),           # weight not a number
+    (f"0 1 2 {LONG_ID}", f"0 1 2 {LONG_ID}")],    # too many fields
+    ids=["endpoint", "weight", "fields"])
+def test_edge_list_errors_echo_a_bounded_excerpt(line, echoed):
+    with pytest.raises(GraphInputError, match=r"^line 2: ") as info:
+        graph_from_edgelist(f"0 1\n{line}\n")
+    message = str(info.value)
+    assert len(message) < 200
+    assert message.endswith(f"{echoed[:60]!r}... ({len(echoed)} characters)")
+
+
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_weights_rejected(weight):
     with pytest.raises(GraphInputError, match="finite and > 0"):

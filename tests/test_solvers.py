@@ -404,9 +404,10 @@ def test_grids_solve_to_tolerance_under_defaults(name):
         # a grid, a path and an isolated node: three components to ground
         g = _with_isolated_node(build_grid(20, 20), build_path(200))
     else:
-        # two random components and an isolated node, too wide to factor
+        # a random component of DENSE_SOLVE_NODES nodes or more, too wide to
+        # factor, a smaller one and an isolated node
         g = _with_isolated_node(
-            random_connected_graph(300, 4.0, (0.5, 2.0), seed=20),
+            random_connected_graph(600, 6.0, (0.5, 2.0), seed=20),
             random_connected_graph(250, 4.0, seed=21))
         assert solvers._grounded_factor(g) is None
     assert g.num_nodes >= solvers.DENSE_SOLVE_NODES
@@ -422,6 +423,52 @@ def test_grids_solve_to_tolerance_under_defaults(name):
             <= SolverConfig().rel_tolerance * np.linalg.norm(rhs[:, j])
     # the least-squares solution has no part in the nullspace
     assert np.allclose(np.bincount(comp, weights=x[:, 0]), 0.0, atol=1e-8)
+
+
+def _union(*graphs):
+    """The disjoint union of the graphs, in order."""
+    union = graphs[0]
+    for g in graphs[1:]:
+        union, _ = disjoint_union(union, g)
+    return union
+
+
+def test_union_of_small_components_takes_the_sparse_lu_route():
+    # every component is under DENSE_SOLVE_NODES, so the union factors
+    # cheaply although its profile is far above n ** DIRECT_PROFILE_EXPONENT
+    parts = [random_connected_graph(500, 8.0, (0.5, 2.0), seed=30 + i)
+             for i in range(4)]
+    g = _union(*parts)
+    assert g.num_components == 4
+    assert solvers._rcm_profile(laplacian_csr(g)) \
+        > g.num_nodes ** solvers.DIRECT_PROFILE_EXPONENT
+    assert solvers._solve_route(g) == "sparse LU"
+    # L+ of a union is block diagonal: one SVD pseudoinverse per part
+    offsets = np.cumsum([0] + [p.num_nodes for p in parts])
+    pinv = np.zeros((g.num_nodes, g.num_nodes))
+    for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        pinv[lo:hi, lo:hi] = pinv_laplacian(part)
+    b = np.random.default_rng(34).standard_normal((g.num_nodes, 3))
+    x = solve_laplacian(g, b)
+    assert np.linalg.norm(x - pinv @ b) <= 1e-7 * np.linalg.norm(pinv @ b)
+
+    epsilon = 0.25
+    fs = assemble_features(g, ["edge_er"], epsilon=epsilon, seed=3)
+    assert fs.manifest["solver"]["route"] == "sparse LU"
+    u, v = fs.edge_index.T
+    exact = pinv[u, u] + pinv[v, v] - 2 * pinv[u, v]
+    assert np.all(np.abs(fs.edge_er - exact) <= 3 * epsilon * exact)
+
+
+@pytest.mark.parametrize("with_small_parts", [False, True])
+def test_a_wide_component_of_dense_solve_nodes_keeps_pcg(with_small_parts):
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=35)
+    if with_small_parts:
+        g = _union(random_connected_graph(300, 4.0, seed=36), g,
+                   random_connected_graph(100, 4.0, seed=37))
+    assert solvers._solve_route(g) == "PCG"
+    manifest = assemble_features(g, ["edge_er"], epsilon=0.5, seed=1).manifest
+    assert manifest["solver"]["route"] == "PCG"
 
 
 def test_grid_factors_once_and_an_expander_never(monkeypatch):
