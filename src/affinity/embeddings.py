@@ -9,6 +9,11 @@ for m independent +-1 entries q_i, which needs one Laplacian solve per row.
 Each row's signs sit at a fixed place of one counter-based stream, so a row
 does not depend on how rows are batched.
 
+Work whose whole would be an (m, k) or (n, m) array goes in blocks of at
+most :data:`_BLOCK_ENTRIES` float64 entries (4 MiB), one budget that the
+sign fold, the exact embedding and the closed forms' edge-row reads share;
+every value is computed row by row, so the blocks move no bit.
+
 :func:`random_rotation` returns a plain (dim, dim) rotation array; it is
 applied to feature sets by :func:`affinity.features.augment_with_rotation`,
 the package's one rotation path.
@@ -60,6 +65,20 @@ class ResistiveEmbedding:
 JL_CONSTANT = 4.0
 
 
+#: float64 entries of one temporary block (4 MiB), the budget every blocked
+#: pass shares (see the module docstring).
+_BLOCK_ENTRIES = 1 << 19
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices that cover range(count) in order, each at most
+    ``_BLOCK_ENTRIES // width`` long (and at least 1), so that a (block,
+    width) float64 temporary stays within the budget."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(start, min(count, start + step))
+            for start in range(0, count, step)]
+
+
 def jl_dimension(num_nodes: int, num_edges: int, epsilon: float) -> int:
     """Sketch dimension k = ceil(c * ln(m * n) / epsilon^2), at least 1,
     with c = :data:`JL_CONSTANT`."""
@@ -76,21 +95,23 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
 
     Row v is C^(1/2) B L+ 1_v. Squared row distances equal effective
     resistances exactly (up to the pseudoinverse's own rounding). The graph
-    must be within the pseudoinverse's node cap.
+    must be within the pseudoinverse's node cap. The (n, m) output is filled
+    in column blocks, so no other (n, m) array is made.
     """
     pinv = dense_pseudoinverse(graph)
     root_w = np.sqrt(graph.edge_w)
-    vectors = np.ascontiguousarray(pinv[:, graph.edge_u] * root_w
-                                   - pinv[:, graph.edge_v] * root_w)
+    vectors = np.empty((graph.num_nodes, graph.num_edges))
+    for block in _blocks(graph.num_edges, graph.num_nodes):
+        ends_u = pinv[:, graph.edge_u[block]]
+        ends_u *= root_w[block]
+        ends_v = pinv[:, graph.edge_v[block]]
+        ends_v *= root_w[block]
+        np.subtract(ends_u, ends_v, out=vectors[:, block])
     return ResistiveEmbedding(vectors=vectors, kind="exact")
 
 
 #: Name of the sketch's projection, recorded in the export manifest.
 PROJECTION = "rademacher-philox4x64"
-
-#: Sign entries drawn and folded in per sparse product: a chunk's rows go in
-#: sub-blocks of at most this many float64 entries (32 MiB).
-_SIGN_BLOCK_ENTRIES = 1 << 22
 
 
 def _signs(key: np.ndarray, start: int, stop: int,
@@ -122,7 +143,7 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
     random +-1 projections keep the JL guarantee of Gaussian ones at the
     same k (Achlioptas 2003). Each chunk of ``chunk_size`` rows is folded
     into the node space by one product with the sparse S = B^T C^(1/2) /
-    sqrt(k) (one per :data:`_SIGN_BLOCK_ENTRIES` signs on large graphs) and
+    sqrt(k) (one per :data:`_BLOCK_ENTRIES` signs on large graphs) and
     goes through one Laplacian solve, so a row's values depend on
     ``chunk_size`` only through the solve's rounding. The solve tolerance is
     tightened to min(config.rel_tolerance, epsilon / 10) so solver error
@@ -156,15 +177,14 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         (np.column_stack([edge_mass, -edge_mass]).ravel(),
          np.column_stack([graph.edge_u, graph.edge_v]).ravel(),
          np.arange(0, 2 * m + 1, 2)), shape=(n, m))
-    rows_per_product = max(1, _SIGN_BLOCK_ENTRIES // m)
 
     vectors = np.empty((n, k))
     for start in range(0, k, chunk_size):
         stop = min(k, start + chunk_size)
         block = np.empty((n, stop - start))
-        for sub in range(start, stop, rows_per_product):
-            end = min(stop, sub + rows_per_product)
-            block[:, sub - start:end - start] = fold @ _signs(key, sub, end, m)
+        for sub in _blocks(stop - start, m):
+            block[:, sub] = fold @ _signs(key, start + sub.start,
+                                          start + sub.stop, m)
         try:
             vectors[:, start:stop] = solve_laplacian(graph, block, solve_config)
         except SolverConvergenceError as exc:

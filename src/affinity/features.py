@@ -6,19 +6,27 @@ resistances and directed hitting-time pairs come from the closed form on L+
 difference vectors. A manifest records everything needed to regenerate the
 numbers bit for bit: graph hash, solver settings, sketch parameters, and
 rotation seeds.
+
+The edge rows are gathered a block at a time (see
+:func:`affinity.embeddings._blocks`) and the edge embedding is written into
+its final array block by block. Exports stream: the text writers format a
+block of rows at a time, a binary array file is its header and then the
+array's own little-endian float64 buffer, and the binary reader reads the
+payload straight into the array it returns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import (JL_CONSTANT, PROJECTION, exact_embedding,
+from .embeddings import (JL_CONSTANT, PROJECTION, _blocks, exact_embedding,
                          random_rotation, sketched_embedding)
 from .graph import Graph, GraphInputError
 from .measures import _closed_form
@@ -99,17 +107,20 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         gram = sketched_embedding(graph, epsilon, seed, config)
         vecs = gram.vectors
 
+    u, v = graph.edge_u, graph.edge_v
     edge_values = "edge_er" in requested or "edge_ht" in requested
-    rows = None
-    if "edge_embedding" in requested or (epsilon is not None and edge_values):
-        rows = vecs[graph.edge_u], vecs[graph.edge_v]
-        rows += (rows[0] - rows[1],)
-    arrays = {"node_embedding": vecs,
-              "edge_embedding": None if rows is None else rows[2]}
+    diffs = np.empty((graph.num_edges, vecs.shape[1])) \
+        if "edge_embedding" in requested else None
+    arrays = {"node_embedding": vecs, "edge_embedding": diffs}
+    # a sketch's closed form reads the edge rows, so it fills diffs on the way
+    filled = epsilon is not None and edge_values
     if edge_values:
         arrays["edge_er"], forth, back = _closed_form(
-            graph, gram, graph.edge_u, graph.edge_v, rows)
+            graph, gram, u, v, diffs if filled else None)
         arrays["edge_ht"] = np.column_stack([forth, back])
+    if diffs is not None and not filled:
+        for block in _blocks(graph.num_edges, vecs.shape[1]):
+            np.subtract(vecs[u[block]], vecs[v[block]], out=diffs[block])
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -176,16 +187,19 @@ def _table_names(fmt: str, families) -> list[str]:
 def _write_csv_table(path: Path, name: str, arr: np.ndarray,
                      features: FeatureSet) -> None:
     """A header, then each row's index column(s) and ``repr`` of each value;
-    lines end in CRLF, as the standard csv writer ends them."""
+    lines end in CRLF, as the standard csv writer ends them. Rows are
+    formatted and written a block at a time."""
     rows = _array_rows(arr)
-    if name.startswith("edge_"):
-        head, index = ["u", "v"], features.edge_index.tolist()
-    else:
-        head, index = ["node"], [[node] for node in range(rows.shape[0])]
-    lines = [",".join(head + [f"c{j}" for j in range(rows.shape[1])])]
-    lines += [",".join(map(repr, at + row))
-              for at, row in zip(index, rows.tolist())]
-    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    edge = name.startswith("edge_")
+    head = ["u", "v"] if edge else ["node"]
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(head + [f"c{j}" for j in range(rows.shape[1])])
+                 + "\r\n")
+        for block in _blocks(rows.shape[0], rows.shape[1] + len(head)):
+            index = features.edge_index[block].tolist() if edge \
+                else [[node] for node in range(block.start, block.stop)]
+            fh.writelines(",".join(map(repr, at + row)) + "\r\n"
+                          for at, row in zip(index, rows[block].tolist()))
 
 
 def _write_json_array(fh, arr: np.ndarray, indent: str) -> None:
@@ -230,16 +244,18 @@ def _write_json(fh, features: FeatureSet) -> None:
 
 def _write_binary_array(path: Path, name: str, arr: np.ndarray,
                         features: FeatureSet) -> None:
+    """The 16-byte header, then the table's little-endian float64 buffer,
+    written as it is when the table already is one (copied once if not)."""
     flags = _FLAG_INTEGER if name == "edge_index" else 0
     if features.manifest.get("kind") == "sketched":
         flags |= _FLAG_SKETCHED
     if features.manifest.get("rotation_seeds"):
         flags |= _FLAG_ROTATED
-    rows = _array_rows(np.asarray(arr, dtype=np.float64))
-    header = struct.pack("<4sIII", _BINARY_MAGIC, rows.shape[0],
-                         rows.shape[1], flags)
-    payload = np.ascontiguousarray(rows, dtype="<f8").tobytes()
-    path.write_bytes(header + payload)
+    rows = _array_rows(np.ascontiguousarray(arr, dtype="<f8"))
+    with path.open("wb") as fh:
+        fh.write(struct.pack("<4sIII", _BINARY_MAGIC, rows.shape[0],
+                             rows.shape[1], flags))
+        fh.write(rows)
 
 
 def _read_csv_table(path: Path) -> np.ndarray:
@@ -261,19 +277,25 @@ def _read_csv_table(path: Path) -> np.ndarray:
 
 
 def _read_binary_array(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
-    if len(blob) < 16:
-        raise GraphInputError(f"{path}: truncated binary array")
-    magic, rows, cols, _ = struct.unpack("<4sIII", blob[:16])
-    if magic != _BINARY_MAGIC:
-        raise GraphInputError(f"{path}: bad magic {magic!r}, "
-                              f"expected {_BINARY_MAGIC!r}")
-    expected = 16 + rows * cols * 8
-    if len(blob) != expected:
-        raise GraphInputError(f"{path}: expected {expected} bytes for "
-                              f"{rows}x{cols} float64, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(rows, cols)
-    return data.copy()
+    """The table of a binary array file, its payload read straight into the
+    returned array after the header and the file size are checked."""
+    with path.open("rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise GraphInputError(f"{path}: truncated binary array")
+        magic, rows, cols, _ = struct.unpack("<4sIII", header)
+        if magic != _BINARY_MAGIC:
+            raise GraphInputError(f"{path}: bad magic {magic!r}, "
+                                  f"expected {_BINARY_MAGIC!r}")
+        expected = 16 + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise GraphInputError(f"{path}: expected {expected} bytes for "
+                                  f"{rows}x{cols} float64, got {size}")
+        data = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:  # shrunk since the size check
+            raise GraphInputError(f"{path}: truncated binary array")
+    return data
 
 
 _TABLE_CODECS = {"csv": (".csv", _write_csv_table, _read_csv_table),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,6 +279,11 @@ def _excerpt(text: str) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
+#: What ``int`` accepts as a base-10 literal; ``int`` refuses one only for
+#: having more digits than ``sys.get_int_max_str_digits()``.
+_DECIMAL_INT = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def graph_from_edgelist(text: str) -> Graph:
     """Parse whitespace-separated edge-list text: one ``u v [w]`` per line.
 
@@ -294,13 +300,21 @@ def graph_from_edgelist(text: str) -> Graph:
         if len(parts) not in (2, 3):
             raise GraphInputError(
                 f"line {lineno}: expected 'u v' or 'u v w', got {_excerpt(line)}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise GraphInputError(
-                f"line {lineno}: endpoints must be integers, got "
-                f"{_excerpt(line)}") from None
+        ends = []
+        for name, part in zip(("first", "second"), parts):
+            try:
+                ends.append(int(part))
+            except ValueError:
+                if _DECIMAL_INT.fullmatch(part):  # refused for its length
+                    digits = part.lstrip("+-").replace("_", "").lstrip("0")
+                    raise GraphInputError(
+                        f"edge {len(edges)}: {name} endpoint has "
+                        f"{len(digits)} digits, beyond the float64 range"
+                    ) from None
+                raise GraphInputError(
+                    f"line {lineno}: endpoints must be integers, got "
+                    f"{_excerpt(line)}") from None
+        u, v = ends
         w = 1.0
         if len(parts) == 3:
             try:

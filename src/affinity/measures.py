@@ -3,9 +3,11 @@ times, and their embedding-based counterparts.
 
 The tables, the edge features and every embedding read evaluate one closed
 form on a Gram matrix G, :func:`_closed_form`: G = L+ on the exact paths,
-G = V V^T for an embedding V. A single exact resistance is one Laplacian
-solve, one target's exact hitting-time column one solve against d - 2M e_t,
-and Tetali's resistance formula is an independent route for cross-checking.
+G = V V^T for an embedding V, whose rows it reads a block of pairs at a
+time, so that no (pairs, dim) temporary exists. A single exact resistance
+is one Laplacian solve, one target's exact hitting-time column one solve
+against d - 2M e_t, and Tetali's resistance formula is an independent route
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import ResistiveEmbedding
+from .embeddings import ResistiveEmbedding, _blocks
 from .graph import CrossComponentError, Graph, _is_int
 from .solvers import (SolverConfig, _component_sums, dense_pseudoinverse,
                       solve_laplacian)
@@ -101,7 +103,7 @@ def _component_masses(graph: Graph) -> np.ndarray:
 
 
 def _closed_form(graph: Graph, gram, u: np.ndarray, v: np.ndarray,
-                 rows: tuple | None = None) -> tuple:
+                 diff_out: np.ndarray | None = None) -> tuple:
     """(Res(u, v), H(u, v), H(v, u)) of the pairs of the index arrays u and
     v, broadcast together, from a Gram matrix G (Tetali 1991):
     Res = G_uu + G_vv - 2 G_uv and H(u, v) = 2M (G_vv - G_uv - a_v + a_u),
@@ -111,8 +113,10 @@ def _closed_form(graph: Graph, gram, u: np.ndarray, v: np.ndarray,
 
     ``gram`` is an (n, n) array, L+ or V V^T, or a ResistiveEmbedding read
     through the row differences r_u - r_v, so that a long path's large G_vv
-    and G_uv never cancel; ``rows`` passes V[u], V[v] and V[u] - V[v] when
-    the caller holds them.
+    and G_uv never cancel. An embedding takes 1-D u and v, and its rows are
+    read in blocks of :data:`~affinity.embeddings._BLOCK_ENTRIES` entries, so
+    no (pairs, dim) temporary is made; ``diff_out``, a (pairs, dim) array,
+    receives the rows r_u - r_v when given.
     """
     n = graph.num_nodes
     embedding = isinstance(gram, ResistiveEmbedding)
@@ -122,12 +126,25 @@ def _closed_form(graph: Graph, gram, u: np.ndarray, v: np.ndarray,
     two_mass = 2.0 * _component_masses(graph)[comp]
     if embedding:
         vecs = gram.vectors
-        rows_u, rows_v, diff = rows or (vecs[u], vecs[v], vecs[u] - vecs[v])
-        res = np.einsum("ij,ij->i", diff, diff)
-        to_v = -np.einsum("ij,ij->i", diff, rows_v)
-        to_u = np.einsum("ij,ij->i", diff, rows_u)
         sums = _component_sums(graph, vecs, graph.degrees)
-        own = np.einsum("ij,ij->i", vecs, sums[comp])
+        own = np.empty(n)
+        for block in _blocks(n, gram.dim):
+            own[block] = np.einsum("ij,ij->i", vecs[block], sums[comp[block]])
+        res, to_v, to_u = (np.empty(len(u)) for _ in range(3))
+        blocks = _blocks(len(u), gram.dim)
+        # r_u, r_v and r_u - r_v of one block, reused from block to block;
+        # take's "raise" mode would gather into a buffer first, "wrap" does not
+        buffers = np.empty((3, blocks[0].stop if blocks else 0, gram.dim))
+        for block in blocks:
+            rows_u, rows_v, diff = buffers[:, :block.stop - block.start]
+            np.take(vecs, u[block], axis=0, out=rows_u, mode="wrap")
+            np.take(vecs, v[block], axis=0, out=rows_v, mode="wrap")
+            if diff_out is not None:
+                diff = diff_out[block]
+            np.subtract(rows_u, rows_v, out=diff)
+            res[block] = np.einsum("ij,ij->i", diff, diff)
+            to_v[block] = -np.einsum("ij,ij->i", diff, rows_v)
+            to_u[block] = np.einsum("ij,ij->i", diff, rows_u)
     else:
         diag = np.diag(gram)
         g_uv = gram[u, v]

@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import affinity.embeddings as embeddings
 import affinity.features as features
+from affinity.embeddings import jl_dimension
 from affinity.features import (FAMILIES, FeatureSet, assemble_features,
                                augment_with_rotation, export_features,
                                graph_digest, load_features)
@@ -132,6 +135,106 @@ def test_assemble_sketched_is_deterministic():
     a = assemble_features(g, ["node_embedding"], epsilon=0.3, seed=4)
     b = assemble_features(g, ["node_embedding"], epsilon=0.3, seed=4)
     assert np.array_equal(a.node_embedding, b.node_embedding)
+
+
+def _block_graphs():
+    """A connected weighted graph, and one with a weighted triangle, an
+    isolated node and a 5-node component."""
+    return [random_connected_graph(47, 3.3, (0.5, 2.0), seed=4),
+            build_graph(9, [(0, 1, 2.0), (1, 2), (2, 0, 0.5), (4, 5), (5, 6),
+                            (6, 7, 3.0), (7, 8), (8, 4), (5, 8)])]
+
+
+def _edge_family_sets(epsilon):
+    """Feature sets of every family on the block graphs, plain, and the
+    first one rotated."""
+    sets = [assemble_features(g, list(FAMILIES), epsilon=epsilon, seed=5)
+            for g in _block_graphs()]
+    return sets + [augment_with_rotation(sets[0], 6)]
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5], ids=["exact", "sketched"])
+def test_row_blocks_of_a_few_entries_change_no_bit(epsilon, monkeypatch,
+                                                   tmp_path):
+    expected = _edge_family_sets(epsilon)
+    for i, fs in enumerate(expected):
+        for fmt in ("csv", "binary"):
+            export_features(fs, fmt, tmp_path / "default" / f"{fmt}{i}")
+    k = expected[0].manifest["embedding_dim"]
+    m = expected[0].edge_index.shape[0]
+    assert m % 5 != 0
+    for entries in (1, 5 * k + 3):  # blocks of 1 or 5 rows of the edge rows
+        monkeypatch.setattr(embeddings, "_BLOCK_ENTRIES", entries)
+        for i, (want, got) in enumerate(zip(expected,
+                                            _edge_family_sets(epsilon))):
+            assert got.family_arrays().keys() == want.family_arrays().keys()
+            for name, arr in want.family_arrays().items():
+                assert np.array_equal(getattr(got, name), arr), name
+            for fmt in ("csv", "binary"):
+                out = tmp_path / str(entries) / f"{fmt}{i}"
+                for file in export_features(got, fmt, out):
+                    base = tmp_path / "default" / f"{fmt}{i}" / file.name
+                    assert file.read_bytes() == base.read_bytes(), file
+        monkeypatch.undo()
+
+
+def test_sketched_edge_features_match_numpy_formulas():
+    for g in _block_graphs():
+        fs = assemble_features(g, list(FAMILIES), epsilon=0.5, seed=5)
+        vecs = fs.node_embedding
+        u, v = g.edge_u, g.edge_v
+        diffs = vecs[u] - vecs[v]
+        assert np.array_equal(fs.edge_embedding, diffs)
+        np.testing.assert_allclose(fs.edge_er, np.sum(diffs * diffs, axis=1),
+                                   rtol=1e-12, atol=0)
+        # H(u, v) = 2M <r_v - r_u, r_v - p>, with M the edge mass of the
+        # pair's component and p the degree-weighted mean of its rows
+        for label in range(g.num_components):
+            deg = np.where(g.component_of == label, g.degrees, 0.0)
+            on = g.component_of[u] == label
+            if not on.any():
+                continue
+            two_mass = deg.sum()
+            p = deg @ vecs / two_mass
+            forth = two_mass * np.sum((vecs[v] - vecs[u]) * (vecs[v] - p),
+                                      axis=1)
+            back = two_mass * np.sum((vecs[u] - vecs[v]) * (vecs[u] - p),
+                                     axis=1)
+            np.testing.assert_allclose(fs.edge_ht[on], np.column_stack(
+                [forth, back])[on], rtol=1e-12, atol=0)
+
+
+def test_sketched_edge_features_hold_no_edge_by_dim_temporary():
+    # n = 400 keeps the sketch on the dense route; the edge rows would be
+    # 3 (m, k) arrays if gathered whole
+    g = random_connected_graph(400, 100.0, seed=12)
+    k = jl_dimension(g.num_nodes, g.num_edges, 0.5)
+    rows_bytes = 8 * g.num_edges * k
+    assert rows_bytes > 8 * 2 ** 22
+    tracemalloc.start()
+    try:
+        fs = assemble_features(g, ["edge_er", "edge_ht"], epsilon=0.5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fs.edge_ht.shape == (g.num_edges, 2)
+    assert peak < rows_bytes / 2, (peak, rows_bytes)
+
+
+def test_binary_export_writes_the_table_without_copying_it(tmp_path):
+    table = np.random.default_rng(0).standard_normal((20_000, 200))
+    fs = FeatureSet(num_nodes=2, edge_index=np.zeros((20_000, 2), np.int64),
+                    manifest={"families": ["edge_embedding"]},
+                    edge_embedding=table)
+    tracemalloc.start()
+    try:
+        export_features(fs, "binary", tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes / 2, (peak, table.nbytes)
+    blob = (tmp_path / "edge_embedding.bin").read_bytes()
+    assert blob[16:] == table.tobytes()
 
 
 def test_assemble_validation():
@@ -496,6 +599,21 @@ def test_binary_bad_magic_rejected(tmp_path):
     blob[:4] = b"XXXX"
     target.write_bytes(bytes(blob))
     with pytest.raises(GraphInputError, match="magic"):
+        load_features(tmp_path, "binary")
+
+
+@pytest.mark.parametrize("cut, message", [
+    (10, "truncated binary array"),
+    (-8, r"expected 32 bytes for 2x1 float64, got 24"),
+    (None, r"expected 32 bytes for 2x1 float64, got 40")],
+    ids=["header_cut", "payload_short", "payload_long"])
+def test_binary_array_of_the_wrong_size_rejected(cut, message, tmp_path):
+    fs = assemble_features(_path3(), ["edge_er"])
+    export_features(fs, "binary", tmp_path)
+    target = tmp_path / "edge_er.bin"
+    blob = target.read_bytes()
+    target.write_bytes(blob + bytes(8) if cut is None else blob[:cut])
+    with pytest.raises(GraphInputError, match=f"edge_er.bin: {message}$"):
         load_features(tmp_path, "binary")
 
 

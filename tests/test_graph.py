@@ -111,8 +111,18 @@ def test_json_id_beyond_the_int_digit_limit_is_an_input_error():
         graph_from_json(text)
 
 
+def test_edge_list_id_beyond_the_int_digit_limit_is_named_as_an_integer():
+    # int() refuses it for its length alone; it is named like a 401-digit id
+    with pytest.raises(GraphInputError, match=r"^edge 0: second endpoint "
+                       r"has 5001 digits, beyond the float64 range$"):
+        graph_from_edgelist("0 " + LONG_ID)
+    with pytest.raises(GraphInputError, match=r"^edge 1: first endpoint "
+                       r"has 5001 digits, beyond the float64 range$"):
+        graph_from_edgelist(f"0 1\n# comment\n-000{LONG_ID} 2\n")
+
+
 @pytest.mark.parametrize("line, echoed", [
-    (f"0 {LONG_ID}", f"0 {LONG_ID}"),             # endpoint not an int
+    (f"0 {LONG_ID}x", f"0 {LONG_ID}x"),           # endpoint not an int
     (f"0 1 {LONG_ID}x", f"{LONG_ID}x"),           # weight not a number
     (f"0 1 2 {LONG_ID}", f"0 1 2 {LONG_ID}")],    # too many fields
     ids=["endpoint", "weight", "fields"])
