@@ -7,10 +7,11 @@ Subcommands:
     gen                emit generator graphs as JSON
     bench              time a sketched embedding on a random graph
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 solver
+Exit codes: 0 success, 1 verification failure, 2 input error (an
+unreadable input or an unwritable output path included), 3 solver
 non-convergence. The solver settings of compute and bench are flags only
-(--tol, --max-iter), so one command line writes the same bytes in every
-shell; the graph's size, its component sizes and its envelope profile pick
+(--tol, --max-iter), so no environment variable of the package changes a
+run; the graph's size, its component sizes and its envelope profile pick
 the solve route, which bench reports.
 """
 
@@ -22,6 +23,7 @@ import os
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 from . import __version__
 from .features import assemble_features, augment_with_rotation, export_features
@@ -140,12 +142,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an OSError on the output path as an input error (exit 2), as
+    an unreadable input is."""
+    try:
+        yield
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_graph(graph: Graph, out: str | None) -> None:
     text = json.dumps(graph_to_json_dict(graph))
     if out is None:
         print(text)
     else:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -166,7 +178,8 @@ def _cmd_compute(args) -> int:
                                  seed=args.seed, config=config)
     if args.rotate is not None:
         features = augment_with_rotation(features, args.rotate)
-    written = export_features(features, args.format, args.out)
+    with _writing(args.out):
+        written = export_features(features, args.format, args.out)
     for file in written:
         print(file)
     return EXIT_OK
@@ -227,7 +240,8 @@ def _cmd_gen(args) -> int:
         _emit_graph(witness_graph(), args.out)
     elif args.generator == "pair":
         cycle, broken = counterexample_pair(args.k)
-        os.makedirs(args.out, exist_ok=True)
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
         _emit_graph(cycle, os.path.join(args.out, "cycle.json"))
         _emit_graph(broken, os.path.join(args.out, "path.json"))
         print(os.path.join(args.out, "cycle.json"))

@@ -34,7 +34,7 @@ from .solvers import SolverConfig, _solve_route, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1

@@ -16,12 +16,16 @@ route, once, before anything is factored:
 - all others (graphs holding a large expander, whose factor fills in
   densely) run block preconditioned conjugate gradient (Jacobi
   preconditioner) against the sparse Laplacian
-  :func:`~affinity.graph.build_graph` stores on the graph.
+  :func:`~affinity.graph.build_graph` stores on the graph, as
+  mixed-precision iterative refinement (:func:`_refined_pcg`): rounds of
+  float32 PCG to :data:`_ROUND_TOLERANCE`, each closed by a float64
+  correction and a float64 true residual, with float64 rounds once a float32
+  round stalls (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).
 
 A right-hand side column holding NaN or inf is refused before any route
 runs. Every route solves for the right-hand side with the nullspace of
 component indicator vectors projected out. Both sparse routes project the
-solution once more and check each column's true residual against
+solution and end when each column's true residual meets
 :attr:`SolverConfig.rel_tolerance`; PCG alone has an iteration cap.
 """
 
@@ -70,12 +74,18 @@ DENSE_SOLVE_NODES = 512
 #: whatever their profile.
 DIRECT_PROFILE_EXPONENT = 1.5
 
+#: Relative residual target of each float32 round of the PCG route.
+_ROUND_TOLERANCE = 1e-4
+#: Share of the PCG iteration cap that one float32 round may spend.
+_FLOAT32_SHARE = 0.1
+
 
 class SolverConvergenceError(RuntimeError):
     """A solve cannot meet its residual tolerance: a right-hand side column
-    holds NaN or inf (any route), PCG missed it within its iteration cap,
-    either sparse route failed its closing true-residual check, or the dense
-    pseudoinverse's grounded Laplacian is singular (no columns to report).
+    holds NaN or inf (any route), PCG's rounds missed it within the
+    iteration cap, the sparse LU route failed its closing true-residual
+    check, or the dense pseudoinverse's grounded Laplacian is singular (no
+    columns to report).
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -96,10 +106,11 @@ class SolverConfig:
 
     Attributes:
         rel_tolerance: both sparse routes must reach the true residual
-            ||L x - b|| <= rel_tolerance * ||b|| per column; PCG stops when
-            its recurrence residual gets there.
-        max_iterations: PCG iteration cap; None means 10*sqrt(n) + 200. The
-            sparse LU route does not iterate and ignores it.
+            ||L x - b|| <= rel_tolerance * ||b|| per column, computed in
+            float64.
+        max_iterations: cap on the PCG iterations of all rounds of a solve
+            together; None means 10*sqrt(n) + 200. The sparse LU route does
+            not iterate and ignores it.
     """
 
     rel_tolerance: float = 1e-8
@@ -236,13 +247,17 @@ def _convergence_error(route: str, rel_tolerance: float, resid: np.ndarray,
 
 def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rel_tolerance: float, max_iterations: int) -> tuple[np.ndarray, int]:
-    """Block preconditioned conjugate gradient with per-column convergence.
+    """Block preconditioned conjugate gradient with per-column convergence,
+    in the dtype of rhs: the iterates, the per-column scalars and the
+    preconditioner all take it.
 
     The (n, k) block keeps its shape throughout. A column stays active until
     its residual is within rel_tolerance times its right-hand side's norm; an
     inactive column gets zero step and zero direction update, so it freezes
-    where it converged (an all-zero column never moves from zero), and
-    results do not depend, beyond rounding, on how columns are batched. A
+    where it converged (an all-zero column never moves from zero). Every
+    operation acts on each column alone, in an order that does not depend on
+    k, so a column's bits do not depend on the columns batched with it once
+    k >= 2 (numpy and scipy take other kernels for a single column). A
     singular semidefinite operator needs right-hand sides in its range only
     (Kaasschieter, J. Comput. Appl. Math. 24, 1988); the iterate may gather
     a nullspace part, which the caller removes.
@@ -261,7 +276,7 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         SolverConvergenceError: listing the columns that missed the target.
     """
     k = rhs.shape[1]
-    d_inv = precond_diag_inv[:, None]
+    d_inv = precond_diag_inv.astype(rhs.dtype)[:, None]
     bnorm = np.linalg.norm(rhs, axis=0)
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -281,16 +296,79 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         pap = np.einsum("ij,ij->j", p, ap)
         # pap can only vanish if a direction fell entirely into the nullspace;
         # stall that column rather than dividing by zero.
-        alpha = np.divide(rz, pap, out=np.zeros(k), where=active & (pap > 0))
+        alpha = np.divide(rz, pap, out=np.zeros(k, rhs.dtype),
+                          where=active & (pap > 0))
         # z is scratch until it takes the new preconditioned residual
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(ap, alpha, out=z)
         np.multiply(d_inv, r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
-        beta = np.divide(rz_new, rz, out=np.zeros(k), where=active)
+        beta = np.divide(rz_new, rz, out=np.zeros(k, rhs.dtype), where=active)
         p *= beta
         p += z
         rz = rz_new
+
+
+def _refined_pcg(graph: Graph, b: np.ndarray,
+                 config: SolverConfig) -> np.ndarray:
+    """The PCG route: solve L x = b, for b of shape (n, k >= 2) in the range
+    of L, by rounds of :func:`pcg` on the residual, each closed in float64.
+
+    A round solves L dx = r for the active columns, each scaled to unit
+    norm (the others are zero and freeze at once); then x + dx is projected
+    onto the range of L and r = b - L x is recomputed in float64. The loop
+    ends when every column's true residual meets ``config.rel_tolerance``.
+    Rounds run in float32, against a float32 copy of L, to
+    :data:`_ROUND_TOLERANCE`. A float32 round that does not get there within
+    :data:`_FLOAT32_SHARE` of the iteration cap, or that fails to halve some
+    still-active column's true residual, is discarded, and the remaining
+    rounds run in float64 to the tolerance itself. ``config.max_iterations``
+    caps the iterations of all rounds together, a discarded round's
+    included; a miss lists the columns by their true residuals.
+    """
+    lap = laplacian_csr(graph)
+    lap32 = lap.astype(np.float32)
+    d_inv = 1.0 / np.where(graph.degrees > 0, graph.degrees, 1.0)
+    cap = config.iteration_cap(graph.num_nodes)
+    round_cap = int(_FLOAT32_SHARE * cap)
+    bnorm = np.linalg.norm(b, axis=0)
+    target = config.rel_tolerance * bnorm
+    x, r, resid = np.zeros_like(b), b, bnorm
+    used, low = 0, True
+    while True:
+        active = ~(resid <= target)
+        if not active.any():
+            return x
+        operator = lap32 if low else lap
+        limit = min(cap - used, round_cap) if low else cap - used
+        # unit columns keep float32 clear of overflow and underflow
+        rhs = np.empty(b.shape, operator.dtype)
+        np.multiply(r, np.divide(1.0, resid, out=np.zeros_like(resid),
+                                 where=active), out=rhs, casting="same_kind")
+        tol = _ROUND_TOLERANCE if low else \
+            float(np.min(target[active] / resid[active]))
+        try:
+            dx, iterations = pcg(lambda block: operator @ block, d_inv,
+                                 rhs, tol, limit)
+        except SolverConvergenceError as exc:
+            if not low:
+                raise _convergence_error(f"PCG after {cap} iterations",
+                                         config.rel_tolerance, resid,
+                                         bnorm) from exc
+            used, low = used + limit, False
+            continue
+        used += iterations
+        step = dx * np.where(active, resid, 0.0)
+        step += x
+        x_new = project_out_nullspace(graph, step)
+        r_new = lap @ x_new
+        np.subtract(b, r_new, out=r_new)
+        resid_new = np.linalg.norm(r_new, axis=0)
+        if low and np.any(active & ~(resid_new
+                                     <= np.maximum(0.5 * resid, target))):
+            low = False
+            continue
+        x, r, resid = x_new, r_new, resid_new
 
 
 def _rcm_profile(lap: sparse.csr_matrix) -> int:
@@ -341,9 +419,9 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
 
     The right-hand side is first projected onto the range of L (per-component
     mean removed), and the graph picks the route, as the module docstring
-    lists. Either sparse route's solution is projected onto the range of L
-    once, and every column's true residual must then meet
-    ``config.rel_tolerance``; ``config.max_iterations`` caps PCG only.
+    lists. Either sparse route's solution is projected onto the range of L,
+    and every column's true residual must meet ``config.rel_tolerance``;
+    ``config.max_iterations`` caps PCG only, all its rounds together.
 
     Raises:
         SolverConvergenceError: on every route, before any solve, when a
@@ -369,19 +447,21 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
     if route == "dense":
         x = dense_pseudoinverse(graph) @ projected
         return x[:, 0] if single else x
-    n = graph.num_nodes
-    lap = laplacian_csr(graph)
-    if route == "sparse LU":
-        keep, lu = _grounded_factor(graph)
-        x = np.zeros_like(projected)
-        x[keep] = lu.solve(projected[keep])
-    else:
-        safe_deg = np.where(graph.degrees > 0, graph.degrees, 1.0)
-        x, _ = pcg(lambda block: lap @ block, 1.0 / safe_deg, projected,
-                   config.rel_tolerance, config.iteration_cap(n))
+    if route == "PCG":
+        k = projected.shape[1]
+        # a lone column runs beside a zero one, so it takes the batched
+        # kernels and matches its own column in any batch bit for bit
+        if k == 1:
+            projected = np.column_stack([projected, np.zeros(graph.num_nodes)])
+        x = _refined_pcg(graph, projected, config)[:, :k]
+        return x[:, 0] if single else x
+    keep, lu = _grounded_factor(graph)
+    x = np.zeros_like(projected)
+    x[keep] = lu.solve(projected[keep])
     x = project_out_nullspace(graph, x)
     error = _convergence_error(route, config.rel_tolerance,
-                               np.linalg.norm(lap @ x - projected, axis=0),
+                               np.linalg.norm(laplacian_csr(graph) @ x
+                                              - projected, axis=0),
                                np.linalg.norm(projected, axis=0))
     if error is not None:
         raise error

@@ -446,6 +446,40 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
     assert not mismatched
 
 
+
+@pytest.mark.parametrize("route", ["pcg", "direct"])
+def test_sparse_route_exports_do_not_depend_on_blas_threads(route, tmp_path):
+    """A sketch on either sparse route writes the same bytes under one and
+    two OpenBLAS threads: neither route calls a dense BLAS product. A
+    600-node random graph runs block PCG and a 1,000-node path takes the
+    sparse LU route."""
+    if route == "pcg":
+        g = af.random_connected_graph(600, 6.0, (0.5, 2.0), seed=9)
+        assert af.solvers._solve_route(g) == "PCG"
+    else:
+        g = af.build_path(1000)
+        assert af.solvers._solve_route(g) == "sparse LU"
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "affinity.cli", "compute",
+                        "--input", str(graph_path),
+                        "--features", "er,ht,node-emb,edge-emb",
+                        "--epsilon", "0.5", "--seed", "11",
+                        "--format", "binary", "--out", str(out)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    one, two = outputs
+    assert len(one) == 6 and set(one) == set(two)
+    mismatched = [name for name in one if one[name] != two[name]]
+    _report(f"same bytes under 1 and 2 BLAS threads ({route})",
+            not mismatched, f"{len(one)} files compared, mismatches: "
+            f"{mismatched or 'none'}")
+    assert not mismatched
+
 def _sparse_instance(n: int, m: int, seed: int):
     return af.random_connected_graph(n, 2.0 * m / n, seed=seed)
 

@@ -253,3 +253,31 @@ def test_bench_needs_two_nodes(capsys):
     for n in ("0", "1"):
         assert main(["bench", "--n", n, "--m", "10"]) == 2
         assert "--n must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_compute_into_an_existing_file_is_exit_2(tmp_path, capsys, fmt):
+    # a directory format cannot be written where a regular file stands
+    graph_file = _write_cycle(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    code = main(["compute", "--input", str(graph_file), "--format", fmt,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
+def test_gen_onto_an_existing_directory_is_exit_2(tmp_path, capsys):
+    code = main(["gen", "cycle", "--n", "5", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["gen", "pair", "--k", "2", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
+    assert taken.read_text() == "kept\n"

@@ -110,9 +110,9 @@ def test_assemble_sketched_metadata():
 
 
 def test_manifest_names_the_projection_and_the_solve_route(pcg_route):
-    assert features.FORMAT_VERSION == 5
+    assert features.FORMAT_VERSION == 6
     exact = assemble_features(_path3(), ["edge_er"]).manifest
-    assert exact["format_version"] == 5
+    assert exact["format_version"] == 6
     assert exact["projection"] is None and exact["solver"]["route"] is None
     graphs = {"dense": random_connected_graph(30, 3.0, seed=2),
               "sparse LU": build_grid(25, 25),

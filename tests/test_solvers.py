@@ -121,12 +121,13 @@ def test_long_path_edge_resistances_are_one():
     assert np.max(np.abs(er - 1.0)) <= 1e-13
 
 
-def _spread_graph(n, spread, seed):
-    """random_connected_graph(n, 3.0, seed=seed) with its weights redrawn as
-    10^U(-spread, spread) from ``seed``."""
-    g = random_connected_graph(n, 3.0, seed=seed)
-    w = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread,
-                                                     g.num_edges)
+def _spread_graph(n, spread, seed, avg_degree=3.0, weight_seed=None):
+    """random_connected_graph(n, avg_degree, seed=seed) with its weights
+    redrawn as 10^U(-spread, spread) from ``weight_seed`` (default seed)."""
+    g = random_connected_graph(n, avg_degree, seed=seed)
+    w = 10.0 ** np.random.default_rng(
+        seed if weight_seed is None else weight_seed).uniform(
+        -spread, spread, g.num_edges)
     return build_graph(n, np.column_stack([g.edge_u, g.edge_v, w]))
 
 
@@ -504,3 +505,149 @@ def test_sparse_lu_route_reports_missed_tolerance():
     assert list(err.columns) == [0, 1, 2]
     assert np.all(err.residuals > 1e-30)
     assert "residual" in str(err)
+
+
+# ------------------------------------------- mixed-precision PCG rounds
+
+def _recording_pcg(monkeypatch):
+    """Wrap solvers.pcg; returns the list of (rhs dtype name, iteration cap
+    given, iterations used or None when the call raised) per call."""
+    calls = []
+    real = solvers.pcg
+
+    def recording(matvec, precond_diag_inv, rhs, rel_tolerance,
+                  max_iterations):
+        try:
+            x, used = real(matvec, precond_diag_inv, rhs, rel_tolerance,
+                           max_iterations)
+        except SolverConvergenceError:
+            calls.append((rhs.dtype.name, max_iterations, None))
+            raise
+        calls.append((rhs.dtype.name, max_iterations, used))
+        return x, used
+
+    monkeypatch.setattr(solvers, "pcg", recording)
+    return calls
+
+
+def _assert_solves_to_tolerance(g, b, x):
+    """Each column's residual under the default tolerance against a
+    Laplacian assembled from the edge arrays, and its distance from numpy's
+    SVD pseudoinverse solution."""
+    lap = _laplacian_from_edges(g)
+    rhs = b - b.mean(axis=0)  # one component
+    for j in range(b.shape[1]):
+        assert np.linalg.norm(lap @ x[:, j] - rhs[:, j]) \
+            <= SolverConfig().rel_tolerance * np.linalg.norm(rhs[:, j])
+    expected = pinv_laplacian(g) @ b
+    assert np.max(np.abs(x - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+
+def test_pcg_route_runs_float32_rounds_closed_in_float64(monkeypatch):
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=20)
+    assert solvers._solve_route(g) == "PCG"
+    calls = _recording_pcg(monkeypatch)
+    b = np.random.default_rng(21).standard_normal((600, 6))
+    x = solve_laplacian(g, b)
+    # rounds to 1e-4 each: two reach the default 1e-8
+    assert [dtype for dtype, _, _ in calls] == ["float32", "float32"]
+    _assert_solves_to_tolerance(g, b, x)
+
+
+def test_single_column_pcg_solve_is_bitwise_its_batched_column():
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=22)
+    assert solvers._solve_route(g) == "PCG"
+    block = np.random.default_rng(23).standard_normal((600, 9))
+    batched = solve_laplacian(g, block)
+    for j in range(9):
+        assert np.array_equal(solve_laplacian(g, block[:, j]), batched[:, j])
+        assert np.array_equal(solve_laplacian(g, block[:, [j]])[:, 0],
+                              batched[:, j])
+    assert np.array_equal(solve_laplacian(g, block[:, 2:5]), batched[:, 2:5])
+    _assert_solves_to_tolerance(g, block, batched)
+
+
+def test_sketch_rows_do_not_depend_on_chunk_size():
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=24)
+    assert solvers._solve_route(g) == "PCG"
+    rows = {chunk: sketched_embedding(g, 0.5, seed=4,
+                                      chunk_size=chunk).vectors
+            for chunk in (7, 64, 128)}
+    assert rows[7].shape[1] % 7 and rows[7].shape[1] % 64
+    assert np.array_equal(rows[7], rows[128])
+    assert np.array_equal(rows[64], rows[128])
+
+
+def test_a_stalled_float32_round_falls_back_to_float64(monkeypatch):
+    # weights over eight decades: a float32 round cannot reach its target
+    # within a tenth of the cap, so float64 takes over and meets tolerance
+    g = _spread_graph(600, 4, 61, avg_degree=10.0)
+    assert solvers._solve_route(g) == "PCG"
+    calls = _recording_pcg(monkeypatch)
+    b = np.random.default_rng(62).standard_normal((600, 4))
+    x = solve_laplacian(g, b)
+    assert [(dtype, used is None) for dtype, _, used in calls] == \
+        [("float32", True), ("float64", False)]
+    _assert_solves_to_tolerance(g, b, x)
+
+
+def test_a_float32_round_that_fails_to_halve_is_discarded(monkeypatch):
+    # a float32 round whose steps are cut to a fifth leaves 80 % of each
+    # residual: it is dropped, and float64 rounds solve from where it began
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=63)
+    real = solvers.pcg
+    calls = []
+
+    def damped(matvec, precond_diag_inv, rhs, rel_tolerance, max_iterations):
+        x, used = real(matvec, precond_diag_inv, rhs, rel_tolerance,
+                       max_iterations)
+        calls.append(rhs.dtype.name)
+        return (0.2 * x if rhs.dtype == np.float32 else x), used
+
+    monkeypatch.setattr(solvers, "pcg", damped)
+    b = np.random.default_rng(64).standard_normal((600, 3))
+    x = solve_laplacian(g, b)
+    assert calls[0] == "float32" and set(calls[1:]) == {"float64"}
+    _assert_solves_to_tolerance(g, b, x)
+
+
+def test_iteration_cap_counts_every_round(monkeypatch):
+    g = _spread_graph(600, 4, 61, avg_degree=10.0)
+    calls = _recording_pcg(monkeypatch)
+    b = np.random.default_rng(62).standard_normal((600, 4))
+    solve_laplacian(g, b)
+    cap = SolverConfig().iteration_cap(600)
+    (_, cap32, _), (_, cap64, used64) = calls
+    assert cap32 == int(solvers._FLOAT32_SHARE * cap)
+    assert cap64 == cap - cap32
+    # float64 PCG alone needs used64 iterations, but under that cap the
+    # discarded float32 round's iterations leave too few for it
+    calls.clear()
+    with pytest.raises(SolverConvergenceError,
+                       match=f"PCG after {used64} iterations") as info:
+        solve_laplacian(g, b, SolverConfig(max_iterations=used64))
+    assert sum(limit for _, limit, _ in calls) == used64
+    assert list(info.value.columns) == [0, 1, 2, 3]
+    # no round finished, so the true residual is still that of x = 0
+    assert np.array_equal(info.value.residuals, np.ones(4))
+    enough = next(m for m in range(used64, 2 * used64)
+                  if m - int(solvers._FLOAT32_SHARE * m) >= used64)
+    x = solve_laplacian(g, b, SolverConfig(max_iterations=enough))
+    _assert_solves_to_tolerance(g, b, x)
+
+
+def test_weights_over_ten_decades_solve_under_default_settings(monkeypatch):
+    # the 5,000-node random graph of average degree 10 with weights
+    # 10^U(-5, 5): float64 PCG needs about 440 of its 907 iterations, and
+    # the float32 round that stalls first spends at most a tenth of them
+    g = _spread_graph(5000, 5, 2, avg_degree=10.0, weight_seed=7)
+    assert solvers._solve_route(g) == "PCG"
+    calls = _recording_pcg(monkeypatch)
+    b = np.random.default_rng(8).standard_normal((5000, 16))
+    x = solve_laplacian(g, b)
+    assert [dtype for dtype, _, _ in calls] == ["float32", "float64"]
+    lap = _laplacian_from_edges(g)
+    rhs = b - b.mean(axis=0)
+    assert np.all(np.linalg.norm(lap @ x - rhs, axis=0)
+                  <= SolverConfig().rel_tolerance
+                  * np.linalg.norm(rhs, axis=0))
