@@ -9,10 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 input error (an
 unreadable input or an unwritable output path included), 3 solver
-non-convergence. The solver settings of compute and bench are flags only
-(--tol, --max-iter), so no environment variable of the package changes a
-run; the graph's size, its component sizes and its envelope profile pick
-the solve route, which bench reports.
+failure. The solver settings of compute and bench are flags only (--tol,
+--max-iter), so no environment variable of the package changes a run; the
+graph's component sizes and envelope profile pick the solve route, sparse LU
+or PCG, which bench reports.
 """
 
 from __future__ import annotations

@@ -113,6 +113,9 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
 #: Name of the sketch's projection, recorded in the export manifest.
 PROJECTION = "rademacher-philox4x64"
 
+#: Sketch rows folded in and solved per batch.
+_CHUNK_ROWS = 128
+
 
 def _signs(key: np.ndarray, start: int, stop: int,
            num_edges: int) -> np.ndarray:
@@ -134,18 +137,18 @@ def _signs(key: np.ndarray, start: int, stop: int,
 
 
 def sketched_embedding(graph: Graph, epsilon: float, seed: int,
-                       config: SolverConfig | None = None,
-                       chunk_size: int = 128) -> ResistiveEmbedding:
+                       config: SolverConfig | None = None
+                       ) -> ResistiveEmbedding:
     """Random-sign-sketched resistive embedding in k = O(log(mn)/eps^2) dims.
 
     Row i is L+ B^T C^(1/2) q_i / sqrt(k) for m signs q_i read from one
     Philox4x64 stream keyed by ``SeedSequence(seed)`` (layout: :func:`_signs`);
     random +-1 projections keep the JL guarantee of Gaussian ones at the
-    same k (Achlioptas 2003). Each chunk of ``chunk_size`` rows is folded
-    into the node space by one product with the sparse S = B^T C^(1/2) /
-    sqrt(k) (one per :data:`_BLOCK_ENTRIES` signs on large graphs) and
-    goes through one Laplacian solve, so a row's values depend on
-    ``chunk_size`` only through the solve's rounding. The solve tolerance is
+    same k (Achlioptas 2003). Each chunk of :data:`_CHUNK_ROWS` rows is
+    folded into the node space by one product with the sparse S = B^T
+    C^(1/2) / sqrt(k) (one per :data:`_BLOCK_ENTRIES` signs on large graphs)
+    and goes through one Laplacian solve, so a row's values depend on the
+    chunk size only through the solve's rounding. The solve tolerance is
     tightened to min(config.rel_tolerance, epsilon / 10) so solver error
     stays well under the sketch distortion.
 
@@ -153,15 +156,11 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         graph: input graph; must have at least one edge.
         epsilon: target distortion in (0, 1).
         seed: non-negative int key of the sign stream.
-        config: solver settings (tolerance, PCG iteration cap), used when
-            the graph is large enough for :func:`solve_laplacian` to take a
-            sparse route.
-        chunk_size: number of sketch rows solved per batch, at least 1.
+        config: solver settings (tolerance, PCG iteration cap) of
+            :func:`solve_laplacian`.
     """
     if graph.num_edges < 1:
         raise ValueError("sketched embedding needs at least one edge")
-    if not _is_int(chunk_size) or chunk_size < 1:
-        raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n = graph.num_nodes
@@ -179,8 +178,8 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
          np.arange(0, 2 * m + 1, 2)), shape=(n, m))
 
     vectors = np.empty((n, k))
-    for start in range(0, k, chunk_size):
-        stop = min(k, start + chunk_size)
+    for start in range(0, k, _CHUNK_ROWS):
+        stop = min(k, start + _CHUNK_ROWS)
         block = np.empty((n, stop - start))
         for sub in _blocks(stop - start, m):
             block[:, sub] = fold @ _signs(key, start + sub.start,

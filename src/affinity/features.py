@@ -34,7 +34,7 @@ from .solvers import SolverConfig, _solve_route, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1
@@ -135,7 +135,7 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "jl_constant": None if epsilon is None else JL_CONSTANT,
         "projection": None if epsilon is None else PROJECTION,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
-        # the route the sketch's solves took, then the sparse routes' settings
+        # the route the sketch's solves took, then the solver settings
         "solver": {"route": None if epsilon is None else _solve_route(graph),
                    **asdict(config)},
         "rotation_seeds": [],

@@ -1,18 +1,14 @@
 """Laplacian linear algebra: pseudoinverse, nullspace projection, and solves.
 
-:func:`solve_laplacian` is the one solve entry point, and the graph picks its
-route, once, before anything is factored:
+:func:`solve_laplacian` is the one solve entry point, and the graph picks one
+of its two routes, once, before anything is factored:
 
-- graphs under :data:`DENSE_SOLVE_NODES` nodes multiply by the cached dense
-  pseudoinverse (a plain (n, n) array, which every exact path caps at
-  :data:`EXACT_NODE_CAP` nodes), built from the inverse of the grounded
-  Laplacian (the lowest node of each component removed);
-- graphs whose components all have under :data:`DENSE_SOLVE_NODES` nodes
-  (unions of small graphs, such as a batch of molecules), and graphs whose
-  reverse Cuthill-McKee envelope profile is at most
-  n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill), solve
-  with a sparse LU of the same grounded Laplacian, factored once per graph
-  and cached;
+- graphs whose components all have under :data:`SMALL_COMPONENT_NODES` nodes
+  (every graph that small, and unions of small graphs, such as a batch of
+  molecules), and graphs whose reverse Cuthill-McKee envelope profile is at
+  most n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill),
+  solve with a sparse LU of the grounded Laplacian (the lowest node of each
+  component removed), factored once per graph and cached;
 - all others (graphs holding a large expander, whose factor fills in
   densely) run block preconditioned conjugate gradient (Jacobi
   preconditioner) against the sparse Laplacian
@@ -22,11 +18,12 @@ route, once, before anything is factored:
   correction and a float64 true residual, with float64 rounds once a float32
   round stalls (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).
 
-A right-hand side column holding NaN or inf is refused before any route
-runs. Every route solves for the right-hand side with the nullspace of
-component indicator vectors projected out. Both sparse routes project the
-solution and end when each column's true residual meets
-:attr:`SolverConfig.rel_tolerance`; PCG alone has an iteration cap.
+Exact paths read :func:`dense_pseudoinverse`, the same grounded Laplacian's
+inverse; both refuse an ill-conditioned one (:func:`_check_conditioning`).
+
+A right-hand side column holding NaN or inf is refused before either route
+runs; both routes end when each column's true residual meets
+:attr:`SolverConfig.rel_tolerance`, and PCG alone has an iteration cap.
 """
 
 from __future__ import annotations
@@ -52,26 +49,25 @@ _FACTOR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple | None]" = \
 _INDICATOR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csc_matrix]" = \
     weakref.WeakKeyDictionary()
 
-#: Largest 1-norm condition number of the grounded Laplacian that
-#: :func:`dense_pseudoinverse` accepts; weights 10^U(-6, 6) stay under 2e12.
+#: Largest 1-norm condition number of the grounded Laplacian that either
+#: direct path accepts; weights 10^U(-6, 6) stay under 2e12.
 GROUNDED_COND_LIMIT = 1e13
 
 #: Node count above which the exact (dense pseudoinverse) paths refuse a graph.
 EXACT_NODE_CAP = 2048
 
-#: Node count from which :func:`solve_laplacian` runs block PCG; smaller
-#: graphs go through the dense pseudoinverse.
-DENSE_SOLVE_NODES = 512
+#: A graph whose components all have under SMALL_COMPONENT_NODES nodes always
+#: takes the sparse LU route: a component of n_c nodes fills at most about
+#: n_c ** 2 entries, so the factor holds at most about 512 n entries.
+SMALL_COMPONENT_NODES = 512
 
-#: A graph from DENSE_SOLVE_NODES nodes up with a component of
-#: DENSE_SOLVE_NODES nodes or more takes the sparse LU route when its reverse
-#: Cuthill-McKee profile is at most n ** DIRECT_PROFILE_EXPONENT, i.e. when
-#: the mean envelope width is at most sqrt(n). Grids sit near 0.7 sqrt(n)
-#: and paths far below; random expanders sit at 3-130 sqrt(n), and factoring
-#: a 20k-node one took 169 s on 2 cores, where its whole PCG sketch took 11 s.
-#: The rule ignores components: four disjoint 500-node expanders sit at
-#: 3.5 sqrt(n) yet factor in 0.03 s, so unions of small components go direct
-#: whatever their profile.
+#: Any other graph takes the sparse LU route when its reverse Cuthill-McKee
+#: profile is at most n ** DIRECT_PROFILE_EXPONENT, i.e. when the mean
+#: envelope width is at most sqrt(n). Grids sit near 0.7 sqrt(n) and paths
+#: far below; random expanders sit at 3-130 sqrt(n), and factoring a
+#: 20k-node one took 169 s on 2 cores, where its whole PCG sketch took 11 s.
+#: The rule ignores components, so four disjoint 500-node expanders sit at
+#: 3.5 sqrt(n), yet factor in 0.03 s by the rule above.
 DIRECT_PROFILE_EXPONENT = 1.5
 
 #: Relative residual target of each float32 round of the PCG route.
@@ -84,8 +80,8 @@ class SolverConvergenceError(RuntimeError):
     """A solve cannot meet its residual tolerance: a right-hand side column
     holds NaN or inf (any route), PCG's rounds missed it within the
     iteration cap, the sparse LU route failed its closing true-residual
-    check, or the dense pseudoinverse's grounded Laplacian is singular (no
-    columns to report).
+    check, or a direct path's grounded Laplacian is singular to working
+    precision (no columns to report).
 
     Attributes:
         residuals: relative residual of each failed column.
@@ -100,12 +96,11 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the sparse routes of :func:`solve_laplacian`; the dense
-    route, taken by graphs under :data:`DENSE_SOLVE_NODES` nodes, uses
-    neither.
+    """Settings of :func:`solve_laplacian`; ``rel_tolerance`` governs every
+    solve, so every sketch, whatever its graph's size.
 
     Attributes:
-        rel_tolerance: both sparse routes must reach the true residual
+        rel_tolerance: both routes must reach the true residual
             ||L x - b|| <= rel_tolerance * ||b|| per column, computed in
             float64.
         max_iterations: cap on the PCG iterations of all rounds of a solve
@@ -188,6 +183,21 @@ def _kept_nodes(graph: Graph) -> np.ndarray:
     return np.flatnonzero(comp[1:] <= np.maximum.accumulate(comp)[:-1]) + 1
 
 
+def _check_conditioning(graph: Graph, grounded, inverse_ones: np.ndarray):
+    """Raise SolverConvergenceError, without columns, when the grounded
+    Laplacian L_g (dense or sparse) has 1-norm condition number ||L_g||_1
+    ||L_g^-1||_1 above :data:`GROUNDED_COND_LIMIT`. L_g is a nonsingular
+    M-matrix, so L_g^-1 is symmetric and nonnegative, and ||L_g^-1||_1 is the
+    largest entry of ``inverse_ones`` = L_g^-1 1 (inf after a zero pivot)."""
+    cond = (np.asarray(abs(grounded).sum(axis=0)).max(initial=0.0)
+            * inverse_ones.max(initial=0.0))
+    if not cond <= GROUNDED_COND_LIMIT:
+        raise SolverConvergenceError(
+            f"grounded Laplacian is singular to working precision: condition "
+            f"number {cond:.3e} > {GROUNDED_COND_LIMIT:.0e} for edge weights "
+            f"from {graph.edge_w.min():.3g} to {graph.edge_w.max():.3g}")
+
+
 def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     """Pseudoinverse of the Laplacian, an (n, n) symmetric array cached per
     graph instance and read-only, since every caller shares it.
@@ -198,8 +208,7 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
 
     Raises:
         ValueError: if the graph has more than :data:`EXACT_NODE_CAP` nodes.
-        SolverConvergenceError: if the condition number ||L_g||_1
-            ||L_g^-1||_1 exceeds :data:`GROUNDED_COND_LIMIT`.
+        SolverConvergenceError: if :func:`_check_conditioning` refuses L_g.
     """
     n = graph.num_nodes
     if n > EXACT_NODE_CAP:
@@ -214,13 +223,7 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
         inverse = np.linalg.inv(grounded)
     except np.linalg.LinAlgError:  # an exactly singular pivot
         inverse = np.full_like(grounded, np.inf)
-    cond = (np.abs(grounded).sum(axis=0).max(initial=0.0)
-            * np.abs(inverse).sum(axis=0).max(initial=0.0))
-    if not cond <= GROUNDED_COND_LIMIT:
-        raise SolverConvergenceError(
-            f"grounded Laplacian is singular to working precision: condition "
-            f"number {cond:.3e} > {GROUNDED_COND_LIMIT:.0e} for edge weights "
-            f"from {graph.edge_w.min():.3g} to {graph.edge_w.max():.3g}")
+    _check_conditioning(graph, grounded, inverse.sum(axis=1))
     pinv = np.zeros((n, n))
     pinv[keep[:, None], keep] = inverse
     pinv = project_out_nullspace(graph, project_out_nullspace(graph, pinv).T)
@@ -386,30 +389,31 @@ def _rcm_profile(lap: sparse.csr_matrix) -> int:
 def _grounded_factor(graph: Graph):
     """The graph's sparse LU route, decided and factored once per graph:
     (kept nodes, SuperLU factor of the Laplacian restricted to them), with
-    the lowest node of every component grounded (removed), which leaves a
-    nonsingular matrix, when every component has under
-    :data:`DENSE_SOLVE_NODES` nodes (a component of n_c nodes fills at most
-    about n_c ** 2 entries, so the factor holds at most about
-    DENSE_SOLVE_NODES * n) or the profile predicts little fill; else None."""
+    the lowest node of every component grounded (removed), when every
+    component has under :data:`SMALL_COMPONENT_NODES` nodes or the profile
+    predicts little fill; else None. One more solve reads L_g^-1 1."""
     if graph in _FACTOR_CACHE:
         return _FACTOR_CACHE[graph]
     lap = laplacian_csr(graph)
     factor = None
-    if (np.bincount(graph.component_of).max(initial=0) < DENSE_SOLVE_NODES
+    if (np.bincount(graph.component_of).max(initial=0) < SMALL_COMPONENT_NODES
             or _rcm_profile(lap) <= graph.num_nodes ** DIRECT_PROFILE_EXPONENT):
         keep = _kept_nodes(graph)
-        factor = (keep, splu(lap[keep][:, keep].tocsc(),
-                             permc_spec="MMD_AT_PLUS_A"))
+        grounded = lap[keep][:, keep].tocsc()
+        try:
+            lu = splu(grounded, permc_spec="MMD_AT_PLUS_A")
+            inverse_ones = lu.solve(np.ones(keep.size))
+        except RuntimeError:  # "Factor is exactly singular"
+            inverse_ones = np.full(keep.size, np.inf)
+        _check_conditioning(graph, grounded, inverse_ones)
+        factor = (keep, lu)
     _FACTOR_CACHE[graph] = factor
     return factor
 
 
 def _solve_route(graph: Graph) -> str:
-    """The route :func:`solve_laplacian` takes for the graph: "dense" under
-    :data:`DENSE_SOLVE_NODES` nodes, else "sparse LU" when
-    :func:`_grounded_factor` factors the graph, else "PCG"."""
-    if graph.num_nodes < DENSE_SOLVE_NODES:
-        return "dense"
+    """The route :func:`solve_laplacian` takes for the graph: "sparse LU"
+    when :func:`_grounded_factor` factors the graph, else "PCG"."""
     return "PCG" if _grounded_factor(graph) is None else "sparse LU"
 
 
@@ -419,15 +423,15 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
 
     The right-hand side is first projected onto the range of L (per-component
     mean removed), and the graph picks the route, as the module docstring
-    lists. Either sparse route's solution is projected onto the range of L,
-    and every column's true residual must meet ``config.rel_tolerance``;
+    lists. Either route's solution is projected onto the range of L, and
+    every column's true residual must meet ``config.rel_tolerance``;
     ``config.max_iterations`` caps PCG only, all its rounds together.
 
     Raises:
-        SolverConvergenceError: on every route, before any solve, when a
-            column of b holds NaN or inf (its residual reads NaN); when the
-            dense pseudoinverse refuses the graph; and when a sparse route
-            misses the tolerance.
+        SolverConvergenceError: on either route, before any solve, when a
+            column of b holds NaN or inf (its residual reads NaN); when
+            :func:`_check_conditioning` refuses the grounded factor; and when
+            a route misses the tolerance.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -443,11 +447,8 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
             f"first at column {int(bad[0])}",
             residuals=np.full(bad.size, np.nan), columns=bad)
     projected = project_out_nullspace(graph, mat)
-    route = _solve_route(graph)
-    if route == "dense":
-        x = dense_pseudoinverse(graph) @ projected
-        return x[:, 0] if single else x
-    if route == "PCG":
+    factor = _grounded_factor(graph)
+    if factor is None:
         k = projected.shape[1]
         # a lone column runs beside a zero one, so it takes the batched
         # kernels and matches its own column in any batch bit for bit
@@ -455,11 +456,11 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
             projected = np.column_stack([projected, np.zeros(graph.num_nodes)])
         x = _refined_pcg(graph, projected, config)[:, :k]
         return x[:, 0] if single else x
-    keep, lu = _grounded_factor(graph)
+    keep, lu = factor
     x = np.zeros_like(projected)
     x[keep] = lu.solve(projected[keep])
     x = project_out_nullspace(graph, x)
-    error = _convergence_error(route, config.rel_tolerance,
+    error = _convergence_error("sparse LU", config.rel_tolerance,
                                np.linalg.norm(laplacian_csr(graph) @ x
                                               - projected, axis=0),
                                np.linalg.norm(projected, axis=0))

@@ -44,8 +44,7 @@ def corpus_small():
 def pcg_route(monkeypatch):
     """Call the returned switch to send every later ``solve_laplacian`` call
     of the test down the block-PCG route, whatever the graph's size and
-    shape: the dense route and the sparse LU route are both turned off."""
+    shape: the sparse LU route is turned off."""
     def switch():
-        monkeypatch.setattr(solvers, "DENSE_SOLVE_NODES", 1)
         monkeypatch.setattr(solvers, "_grounded_factor", lambda graph: None)
     return switch

@@ -22,7 +22,7 @@ import pytest
 import affinity as af
 from affinity import oracle
 from affinity.measures import AffinityTable
-from affinity.solvers import DENSE_SOLVE_NODES
+from affinity.solvers import SMALL_COMPONENT_NODES
 from oracles import (build_grid, disjoint_union, mc_hitting_time,
                      pinv_resistances, spd_bellman_ford)
 
@@ -386,17 +386,18 @@ def test_rotation_invariance_of_derived_measures():
     assert worst_value <= 1e-9
 
 
-@pytest.mark.parametrize("route", ["dense", "pcg", "direct"])
+@pytest.mark.parametrize("route", ["small", "pcg", "direct"])
 def test_identical_runs_produce_identical_bytes(route, tmp_path):
     """Two CLI invocations with the same seed write byte-identical exports
     in every format, including the sketched and rotated feature families,
-    on every solve route: a 60-node graph takes the dense pseudoinverse, a
-    graph of two random components, one of them of DENSE_SOLVE_NODES nodes
-    or more, plus an isolated node runs block PCG with the multi-component
-    projection, and a 30 x 30 grid takes the sparse LU route."""
+    on both solve routes: a 60-node graph (small components) and a 30 x 30
+    grid (narrow envelope) take the sparse LU route, and a graph of two
+    random components, one of them of SMALL_COMPONENT_NODES nodes or more,
+    plus an isolated node runs block PCG with the multi-component
+    projection."""
     cli = [sys.executable, "-m", "affinity.cli"]
     graph_path = tmp_path / "graph.json"
-    if route == "dense":
+    if route == "small":
         subprocess.run(cli + ["gen", "random", "--n", "60", "--avg-degree",
                               "4", "--wmin", "0.5", "--wmax", "2.0", "--seed",
                               "5", "--out", str(graph_path)],
@@ -408,13 +409,13 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
             af.random_connected_graph(250, 4.0, (0.5, 2.0), seed=8))
         g = af.build_graph(joined.num_nodes + 1, np.column_stack(
             [joined.edge_u, joined.edge_v, joined.edge_w]))
-        assert g.num_nodes >= DENSE_SOLVE_NODES and g.num_components == 3
+        assert g.num_nodes >= SMALL_COMPONENT_NODES and g.num_components == 3
         assert af.solvers._grounded_factor(g) is None
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
     else:
         g = build_grid(30, 30)
-        assert g.num_nodes >= DENSE_SOLVE_NODES
+        assert g.num_nodes >= SMALL_COMPONENT_NODES
         assert af.solvers._grounded_factor(g) is not None
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
@@ -447,15 +448,18 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
 
 
 
-@pytest.mark.parametrize("route", ["pcg", "direct"])
+@pytest.mark.parametrize("route", ["pcg", "direct", "small"])
 def test_sparse_route_exports_do_not_depend_on_blas_threads(route, tmp_path):
-    """A sketch on either sparse route writes the same bytes under one and
-    two OpenBLAS threads: neither route calls a dense BLAS product. A
-    600-node random graph runs block PCG and a 1,000-node path takes the
-    sparse LU route."""
+    """An unrotated sketch writes the same bytes under one and two OpenBLAS
+    threads: neither solve route calls a dense BLAS product. A 600-node
+    random graph runs block PCG; a 1,000-node path and a 300-node random
+    graph take the sparse LU route."""
     if route == "pcg":
         g = af.random_connected_graph(600, 6.0, (0.5, 2.0), seed=9)
         assert af.solvers._solve_route(g) == "PCG"
+    elif route == "small":
+        g = af.random_connected_graph(300, 6.0, (0.5, 2.0), seed=9)
+        assert af.solvers._solve_route(g) == "sparse LU"
     else:
         g = af.build_path(1000)
         assert af.solvers._solve_route(g) == "sparse LU"

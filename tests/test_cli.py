@@ -113,6 +113,21 @@ def test_compute_singular_grounded_laplacian_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_compute_exactly_singular_factor_is_exit_3(tmp_path, capsys):
+    # 1 + 1e-17 rounds to 1, so the grounded factor of a 1,000-node unit
+    # path whose first edge weighs 1e-17 meets an exactly zero pivot
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("0 1 1e-17\n" + "".join(
+        f"{i} {i + 1}\n" for i in range(1, 999)))
+    code = main(["compute", "--input", str(graph_file), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "condition number inf" in err
+    assert "edge weights from 1e-17 to 1" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("name, text", [
     ("g.json", json.dumps({"num_nodes": 3, "edges": [[0, 10 ** 400]]})),
     ("g.txt", f"0 1\n1 {10 ** 400}\n"),
@@ -221,7 +236,8 @@ def test_bench_tiny(capsys):
     assert doc["num_nodes"] == 500
     assert doc["sketch_dim"] >= 1
     assert doc["sketch_seconds"] >= 0.0
-    assert doc["route"] == "dense"
+    # every component under 512 nodes: the sparse LU route
+    assert doc["route"] == "sparse LU"
 
 
 def test_bench_reports_the_solve_route(capsys):
@@ -230,7 +246,7 @@ def test_bench_reports_the_solve_route(capsys):
 
 
 def test_dense_threshold_flag_is_exit_2(tmp_path, capsys):
-    # the graph's size picks the solve route; no flag overrides it
+    # the graph picks the solve route; no flag overrides it
     graph_file = _write_cycle(tmp_path)
     for command in (["compute", "--input", str(graph_file),
                      "--out", str(tmp_path / "x.json")], ["bench"]):

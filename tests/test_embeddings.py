@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affinity import embeddings
 from affinity.embeddings import (exact_embedding, jl_dimension,
                                  random_rotation, sketched_embedding)
 from affinity.graph import build_graph
@@ -65,19 +66,27 @@ def test_sketched_embedding_deterministic_bitwise():
     assert not np.array_equal(a.vectors, c.vectors)
 
 
-def test_sketched_embedding_chunk_size_agreement():
+def _sketches_at_chunk_sizes(monkeypatch, g, chunks):
+    """Sketch vectors of g (eps 0.4, seed 5) with _CHUNK_ROWS set to each
+    of chunks in turn."""
+    vectors = []
+    for chunk in chunks:
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
+        vectors.append(sketched_embedding(g, 0.4, seed=5).vectors)
+    return vectors
+
+
+def test_sketched_embedding_chunk_size_agreement(monkeypatch):
     g = random_connected_graph(30, 3.0, seed=4)
-    a = sketched_embedding(g, 0.4, seed=5, chunk_size=128)
-    b = sketched_embedding(g, 0.4, seed=5, chunk_size=7)
-    assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
+    a, b = _sketches_at_chunk_sizes(monkeypatch, g, (128, 7))
+    assert np.max(np.abs(a - b)) <= 1e-10
 
 
-def test_sketched_embedding_chunk_size_agreement_on_a_grid():
+def test_sketched_embedding_chunk_size_agreement_on_a_grid(monkeypatch):
     # 625 nodes and a narrow envelope: the sparse LU route
     g = build_grid(25, 25)
-    a = sketched_embedding(g, 0.4, seed=5, chunk_size=128)
-    b = sketched_embedding(g, 0.4, seed=5, chunk_size=7)
-    assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
+    a, b = _sketches_at_chunk_sizes(monkeypatch, g, (128, 7))
+    assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def test_sketch_convergence_error_states_its_rows_briefly():
@@ -98,17 +107,13 @@ def test_sketch_convergence_error_states_its_rows_briefly():
     assert len(message) < 250
 
 
-def test_sketched_embedding_rejects_chunk_size_below_one():
+def test_sketched_embedding_seed_must_be_a_non_negative_int():
     g = random_connected_graph(50, 3.0, seed=4)
-    for chunk_size in (0, -1, 2.5, True):
-        with pytest.raises(ValueError, match="chunk_size"):
-            sketched_embedding(g, 0.4, seed=5, chunk_size=chunk_size)
     for seed in (-1, 2.5, True):
         with pytest.raises(ValueError, match="seed"):
             sketched_embedding(g, 0.4, seed=seed)
-    plain = sketched_embedding(g, 0.4, seed=5, chunk_size=7)
-    numpy_ints = sketched_embedding(g, 0.4, seed=np.int64(5),
-                                    chunk_size=np.int32(7))
+    plain = sketched_embedding(g, 0.4, seed=5)
+    numpy_ints = sketched_embedding(g, 0.4, seed=np.int64(5))
     assert numpy_ints.seed == 5 and type(numpy_ints.seed) is int
     assert np.array_equal(numpy_ints.vectors, plain.vectors)
 
@@ -211,16 +216,17 @@ def _readme_sketch(g, epsilon: float, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", ["weighted", "two_components"])
-def test_sketch_follows_the_readme_stream_layout(name):
+def test_sketch_follows_the_readme_stream_layout(name, monkeypatch):
     if name == "weighted":
         g = random_connected_graph(40, 4.0, (0.5, 2.0), seed=21)
     else:
         g, _ = disjoint_union(random_connected_graph(25, 3.0, seed=22),
                               random_connected_graph(15, 3.0, (0.5, 2.0),
                                                      seed=23))
+    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 50)
     for seed in (0, 3):
         expected = _readme_sketch(g, 0.5, seed)
-        got = sketched_embedding(g, 0.5, seed=seed, chunk_size=50).vectors
+        got = sketched_embedding(g, 0.5, seed=seed).vectors
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 

@@ -110,14 +110,13 @@ def test_assemble_sketched_metadata():
 
 
 def test_manifest_names_the_projection_and_the_solve_route(pcg_route):
-    assert features.FORMAT_VERSION == 6
+    assert features.FORMAT_VERSION == 7
     exact = assemble_features(_path3(), ["edge_er"]).manifest
-    assert exact["format_version"] == 6
+    assert exact["format_version"] == 7
     assert exact["projection"] is None and exact["solver"]["route"] is None
-    graphs = {"dense": random_connected_graph(30, 3.0, seed=2),
-              "sparse LU": build_grid(25, 25),
-              "PCG": random_connected_graph(600, 3.0, seed=8)}
-    for route, g in graphs.items():
+    small = random_connected_graph(30, 3.0, seed=2)
+    for route, g in (("sparse LU", small), ("sparse LU", build_grid(25, 25)),
+                     ("PCG", random_connected_graph(600, 3.0, seed=8))):
         manifest = assemble_features(g, ["edge_er"], epsilon=0.5,
                                      seed=1).manifest
         assert manifest["projection"] == "rademacher-philox4x64"
@@ -125,7 +124,7 @@ def test_manifest_names_the_projection_and_the_solve_route(pcg_route):
                                       "max_iterations": None}
     # the route is read where the solve reads it, so the fixture steers both
     pcg_route()
-    manifest = assemble_features(graphs["dense"], ["edge_er"], epsilon=0.5,
+    manifest = assemble_features(small, ["edge_er"], epsilon=0.5,
                                  seed=1).manifest
     assert manifest["solver"]["route"] == "PCG"
 

@@ -261,15 +261,16 @@ def test_degrees_and_component_masses_are_float64_without_edges():
     assert np.array_equal(masses, [0.0, 0.0, 0.0])
 
 
-def test_hitting_time_exact_pcg_path_matches_grounded_oracle():
-    # n >= DENSE_SOLVE_NODES (512), so the solve runs block PCG; the four
-    # components keep the dense oracle cheap and exercise the projection
+def test_hitting_time_exact_pcg_path_matches_grounded_oracle(pcg_route):
+    # the fixture sends the solve down block PCG; the four components keep
+    # the dense oracle cheap and exercise the projection
+    pcg_route()
     parts = [random_connected_graph(130, 3.0, (0.5, 2.0), seed=s)
              for s in range(4)]
     g = parts[0]
     for part in parts[1:]:
         g, _ = disjoint_union(g, part)
-    assert g.num_nodes >= solvers.DENSE_SOLVE_NODES
+    assert solvers._solve_route(g) == "PCG"
     grounded = grounded_hitting_times(g)
     for target in (3, 200, 517):
         got = hitting_time_exact(g, target)

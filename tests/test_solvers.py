@@ -1,5 +1,5 @@
-"""Nullspace projection, dense pseudoinverse, and the PCG and sparse LU
-solve routes."""
+"""Nullspace projection, dense pseudoinverse, the grounded Laplacian's
+condition test, and the two solve routes, sparse LU and PCG."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from affinity import solvers
+from affinity import embeddings, features, measures, solvers, wl
 from affinity.graph import build_graph
 from affinity.solvers import (SolverConfig, SolverConvergenceError,
                               dense_laplacian, dense_pseudoinverse,
@@ -154,11 +154,15 @@ def test_wide_weight_spread_is_accepted_and_accurate(seed):
 def test_condition_limit_sits_between_spreads_six_and_eight():
     # 60-node graphs: weights over twelve decades reach condition numbers
     # up to 2e12 and are accepted; over sixteen decades, from 1.8e13 up,
-    # and are refused
+    # and are refused, by the dense pseudoinverse and by the sketch's
+    # grounded factor alike
     for seed in range(100, 120):
         dense_pseudoinverse(_spread_graph(60, 6, seed))
+        sketched_embedding(_spread_graph(60, 6, seed), 0.5, seed=1)
         with pytest.raises(SolverConvergenceError, match="condition number"):
             dense_pseudoinverse(_spread_graph(60, 8, seed))
+        with pytest.raises(SolverConvergenceError, match="condition number"):
+            sketched_embedding(_spread_graph(60, 8, seed), 0.5, seed=1)
 
 
 def _singular_path():
@@ -179,9 +183,14 @@ def test_singular_grounded_laplacian_is_refused():
         with pytest.raises(SolverConvergenceError, match=weights):
             assemble_features(_singular_path(), ["edge_er", "edge_ht"],
                               epsilon=epsilon)
-    # 1 + 1e-17 rounds to 1: an exactly singular pivot, same error
+    # 1 + 1e-17 rounds to 1: an exactly singular pivot, same error, also
+    # from the grounded factor, whose SuperLU raises a bare RuntimeError
     with pytest.raises(SolverConvergenceError, match="number inf"):
         dense_pseudoinverse(build_graph(3, [(0, 1, 1e-17), (1, 2, 1.0)]))
+    with pytest.raises(SolverConvergenceError, match="number inf") as info:
+        solve_laplacian(build_graph(3, [(0, 1, 1e-17), (1, 2, 1.0)]),
+                        np.ones(3))
+    assert info.value.columns is None
 
 
 def test_pseudoinverse_zero_count_matches_components(corpus_small):
@@ -222,13 +231,26 @@ def test_pseudoinverse_cap():
         dense_pseudoinverse(g)
 
 
-def test_solve_dense_path_matches_pinv():
+def test_small_graph_solve_matches_pinv():
     g = random_connected_graph(30, 3.0, (0.5, 2.0), seed=2)
+    assert solvers._solve_route(g) == "sparse LU"
     rng = np.random.default_rng(3)
     b = rng.standard_normal(30)
     x = solve_laplacian(g, b)
-    expected = dense_pseudoinverse(g) @ project_out_nullspace(g, b)
+    expected = pinv_laplacian(g) @ b
     assert np.allclose(x, expected, atol=1e-12)
+
+
+def test_edgeless_graph_solves_to_zero():
+    # every node is its own component's grounded node: an empty factor
+    for n in (5, 600):
+        g = build_graph(n, [])
+        assert solvers._solve_route(g) == "sparse LU"
+        b = np.random.default_rng(n).standard_normal((n, 3))
+        assert np.array_equal(solve_laplacian(g, b), np.zeros((n, 3)))
+        assert effective_resistance(g, 2, 2) == 0.0
+        h = hitting_time_exact(g, 2)
+        assert h[2] == 0.0 and np.isinf(np.delete(h, 2)).all()
 
 
 def test_solve_iterative_agrees_with_dense(corpus_small, pcg_route):
@@ -252,8 +274,9 @@ def test_solve_residual_meets_tolerance(pcg_route):
     assert residual <= 1e-10 * np.linalg.norm(b)
 
 
-def test_graph_size_picks_the_solve_route(monkeypatch):
-    # no SolverConfig reaches the dense route from DENSE_SOLVE_NODES nodes up
+def _counting_pinv(monkeypatch):
+    """Wrap dense_pseudoinverse in every module that calls it; returns the
+    list of node counts of the graphs it was called on."""
     calls = []
     real = solvers.dense_pseudoinverse
 
@@ -261,22 +284,46 @@ def test_graph_size_picks_the_solve_route(monkeypatch):
         calls.append(graph.num_nodes)
         return real(graph)
 
-    monkeypatch.setattr(solvers, "dense_pseudoinverse", counting)
+    for module in (solvers, embeddings, features, measures, wl):
+        monkeypatch.setattr(module, "dense_pseudoinverse", counting)
+    return calls
+
+
+def test_graph_size_picks_the_solve_route(monkeypatch):
+    # a random graph under SMALL_COMPONENT_NODES nodes is factored, one of
+    # that many runs PCG, whatever the SolverConfig; neither solves through
+    # the dense pseudoinverse
+    calls = _counting_pinv(monkeypatch)
     assert [f.name for f in dataclasses.fields(SolverConfig)] == \
         ["rel_tolerance", "max_iterations"]
     rng = np.random.default_rng(14)
-    large = random_connected_graph(solvers.DENSE_SOLVE_NODES, 4.0, seed=15)
-    b = project_out_nullspace(large, rng.standard_normal(large.num_nodes))
-    for cfg in (None, SolverConfig(rel_tolerance=0.5),
-                SolverConfig(max_iterations=5000)):
-        x = solve_laplacian(large, b, cfg)
-        tol = (cfg or SolverConfig()).rel_tolerance
-        assert np.linalg.norm(laplacian_csr(large) @ x - b) \
-            <= tol * np.linalg.norm(b)
+    size = solvers.SMALL_COMPONENT_NODES
+    for n, route in ((size - 1, "sparse LU"), (size, "PCG")):
+        g = random_connected_graph(n, 4.0, seed=15)
+        assert solvers._solve_route(g) == route
+        b = project_out_nullspace(g, rng.standard_normal(n))
+        for cfg in (None, SolverConfig(rel_tolerance=0.5),
+                    SolverConfig(max_iterations=5000)):
+            x = solve_laplacian(g, b, cfg)
+            tol = (cfg or SolverConfig()).rel_tolerance
+            assert np.linalg.norm(_laplacian_from_edges(g) @ x - b) \
+                <= tol * np.linalg.norm(b)
+        expected = pinv_laplacian(g) @ b
+        assert np.max(np.abs(x - expected)) <= 1e-6 * np.max(np.abs(expected))
     assert calls == []
-    small = random_connected_graph(solvers.DENSE_SOLVE_NODES - 1, 4.0, seed=15)
-    solve_laplacian(small, rng.standard_normal(small.num_nodes))
-    assert calls == [solvers.DENSE_SOLVE_NODES - 1]
+
+
+def test_small_graph_sketch_never_builds_the_pseudoinverse(monkeypatch):
+    calls = _counting_pinv(monkeypatch)
+    g = random_connected_graph(300, 4.0, (0.5, 2.0), seed=16)
+    fs = assemble_features(g, ["edge_er", "edge_ht", "node_embedding"],
+                           epsilon=0.5, seed=1)
+    assert fs.manifest["solver"]["route"] == "sparse LU"
+    effective_resistance(g, 0, 299)
+    hitting_time_exact(g, 7)
+    assert calls == []
+    assemble_features(g, ["edge_er"])  # the exact path reads L+ itself
+    assert calls == [300]
 
 
 def test_solution_orthogonal_to_indicators():
@@ -327,14 +374,15 @@ def test_non_finite_rhs_column_is_reported(pcg_route):
     assert list(excinfo.value.columns) == [1]
 
 
-@pytest.mark.parametrize("route", ["dense", "direct", "pcg"])
+@pytest.mark.parametrize("route", ["small", "direct", "pcg"])
 def test_non_finite_rhs_is_refused_before_any_route(route, pcg_route):
-    # a 40-node path takes the dense route, which would return NaN columns,
-    # and a 30 x 30 grid the sparse LU route; PCG would run its whole cap
-    g = build_path(40) if route == "dense" else build_grid(30, 30)
+    # a 40-node path (small components) and a 30 x 30 grid (narrow
+    # envelope) take the sparse LU route; PCG would run its whole cap
+    g = build_path(40) if route == "small" else build_grid(30, 30)
     if route == "pcg":
         pcg_route()
-    assert (g.num_nodes < solvers.DENSE_SOLVE_NODES) == (route == "dense")
+    assert solvers._solve_route(g) == \
+        ("PCG" if route == "pcg" else "sparse LU")
     b = np.random.default_rng(3).standard_normal((g.num_nodes, 4))
     b[5, 0] = np.nan
     b[7, 2] = np.inf
@@ -405,13 +453,12 @@ def test_grids_solve_to_tolerance_under_defaults(name):
         # a grid, a path and an isolated node: three components to ground
         g = _with_isolated_node(build_grid(20, 20), build_path(200))
     else:
-        # a random component of DENSE_SOLVE_NODES nodes or more, too wide to
-        # factor, a smaller one and an isolated node
+        # a random component of SMALL_COMPONENT_NODES nodes or more, too
+        # wide to factor, a smaller one and an isolated node
         g = _with_isolated_node(
             random_connected_graph(600, 6.0, (0.5, 2.0), seed=20),
             random_connected_graph(250, 4.0, seed=21))
         assert solvers._grounded_factor(g) is None
-    assert g.num_nodes >= solvers.DENSE_SOLVE_NODES
     b = np.random.default_rng(17).standard_normal((g.num_nodes, 3))
     x = solve_laplacian(g, b)
     lap = _laplacian_from_edges(g)
@@ -435,7 +482,7 @@ def _union(*graphs):
 
 
 def test_union_of_small_components_takes_the_sparse_lu_route():
-    # every component is under DENSE_SOLVE_NODES, so the union factors
+    # every component is under SMALL_COMPONENT_NODES, so the union factors
     # cheaply although its profile is far above n ** DIRECT_PROFILE_EXPONENT
     parts = [random_connected_graph(500, 8.0, (0.5, 2.0), seed=30 + i)
              for i in range(4)]
@@ -481,8 +528,9 @@ def test_grid_factors_once_and_an_expander_never(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "splu", counting)
+    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 40)
     g = build_grid(30, 30)
-    sketch = sketched_embedding(g, 0.5, seed=2, chunk_size=40)
+    sketch = sketched_embedding(g, 0.5, seed=2)
     assert sketch.dim > 3 * 40
     for target in (0, 450, 899, 450):
         hitting_time_exact(g, target)
@@ -567,12 +615,13 @@ def test_single_column_pcg_solve_is_bitwise_its_batched_column():
     _assert_solves_to_tolerance(g, block, batched)
 
 
-def test_sketch_rows_do_not_depend_on_chunk_size():
+def test_sketch_rows_do_not_depend_on_chunk_size(monkeypatch):
     g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=24)
     assert solvers._solve_route(g) == "PCG"
-    rows = {chunk: sketched_embedding(g, 0.5, seed=4,
-                                      chunk_size=chunk).vectors
-            for chunk in (7, 64, 128)}
+    rows = {}
+    for chunk in (7, 64, 128):
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
+        rows[chunk] = sketched_embedding(g, 0.5, seed=4).vectors
     assert rows[7].shape[1] % 7 and rows[7].shape[1] % 64
     assert np.array_equal(rows[7], rows[128])
     assert np.array_equal(rows[64], rows[128])
