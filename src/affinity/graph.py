@@ -222,8 +222,10 @@ def build_graph(num_nodes: int, edges) -> Graph:
         shape=(num_nodes, num_nodes)).tocsr()
     for arr in (laplacian.data, laplacian.indices, laplacian.indptr):
         arr.setflags(write=False)
-    # labels are numbered by each component's lowest node
-    num_comp, comp = connected_components(laplacian, directed=False)
+    # labels are numbered by each component's lowest node; L is symmetric, so
+    # its strong components are the components, without a transposed copy
+    num_comp, comp = connected_components(laplacian, directed=True,
+                                          connection="strong")
 
     return Graph(
         num_nodes=num_nodes,

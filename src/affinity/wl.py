@@ -1,10 +1,10 @@
 """Color refinement (1-WL) with optional edge colors, plus the quantization
 step that turns real-valued affinity measures into discrete edge colors.
 
-Signatures are interned by sorting, never hashed, and class ids are assigned
-in first-seen node order, so colorings are deterministic across runs and
-directly comparable between graphs refined together (e.g. on a disjoint
-union).
+Edge colors are ranked exactly, once, so a signature is a tuple of int codes,
+interned through a dict. Class ids follow first-seen node order, so colorings
+are deterministic and directly comparable between graphs refined together
+(e.g. on a disjoint union). Refinement ends at a discrete partition.
 """
 
 from __future__ import annotations
@@ -67,12 +67,14 @@ def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
     array giving a direction-dependent color: column 0 is seen from edge_u's
     side, column 1 from edge_v's side.
 
-    Incidences come from the edge arrays: edge i is seen from edge_u[i] with
-    color column 0 and from edge_v[i] with column 1. Each round one lexsort
-    groups them by node, in (neighbor color, edge color) order.
+    Edge colors are compared exactly: ranked once with ``np.unique``, so an
+    incidence's (neighbor color, edge color) pair is one int code that sorts
+    in pair order. Edge i is seen from edge_u[i] with column 0 and from
+    edge_v[i] with column 1; each round one lexsort groups codes by node.
 
-    Refinement stops when a round leaves the partition unchanged or after
-    ``max_rounds`` rounds, whichever comes first.
+    Refinement stops when a round leaves the partition unchanged, or would
+    (the partition is discrete), or after ``max_rounds`` rounds, whichever
+    comes first.
     """
     n = graph.num_nodes
     m = graph.num_edges
@@ -93,14 +95,19 @@ def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
     rounds_to_stabilize: int | None = None
     node = np.concatenate([graph.edge_u, graph.edge_v])
     nbr = np.concatenate([graph.edge_v, graph.edge_u])
-    seen = ec.T.ravel().astype(np.int64)  # column 0, then column 1
+    edge_values, seen = np.unique(ec.T.ravel(), return_inverse=True)
     # sorted by node, the incidences of u end at ends[u]
     ends = np.cumsum(np.bincount(node, minlength=n)).tolist()
 
     for round_no in range(1, limit + 1):
-        order = np.lexsort((seen, colors[nbr], node))
-        pairs = list(zip(colors[nbr[order]].tolist(), seen[order].tolist()))
-        signatures = [(c, tuple(pairs[lo:hi])) for c, lo, hi
+        # dense ids reach n - 1 only on a discrete partition, which no round
+        # can split, so this round would leave it unchanged
+        if colors.max(initial=-1) == n - 1:
+            rounds_to_stabilize = round_no - 1
+            break
+        codes = colors[nbr] * edge_values.size + seen
+        codes = codes[np.lexsort((codes, node))].tolist()
+        signatures = [(c, tuple(codes[lo:hi])) for c, lo, hi
                       in zip(colors.tolist(), [0] + ends, ends)]
         new_colors = _canonical_ids(signatures)
         if np.array_equal(new_colors, colors):
@@ -213,25 +220,31 @@ def expressivity_report(graph: Graph) -> ExpressivityReport:
     embedding, each quantized at :data:`QUANTIZE_TOL`. Exact measures only,
     read per edge off the pseudoinverse, so the graph must be within its
     node cap.
+
+    The variants start from plain's stable coloring: a stable colored
+    partition is equitable, so it refines plain's and is reached from either
+    start, with the same first-seen ids. Equal edge ids are refined once.
     """
     res, forth, back = _closed_form(graph, dense_pseudoinverse(graph),
                                     graph.edge_u, graph.edge_v)
-
-    plain = wl_refine(graph)
-    er_coloring = wl_refine(graph, edge_colors=quantize_edge_values(res))
-
     # one clustering over both directions, then column 0 seen from edge_u
     ht_ids = quantize_edge_values(np.concatenate([forth, back]))
-    ht_coloring = wl_refine(graph, edge_colors=ht_ids.reshape(2, -1).T)
 
-    emb_coloring = wl_refine(graph,
-                             edge_colors=quantize_edge_values(np.sqrt(res)))
+    plain = wl_refine(graph)
+    colorings = {"plain": plain}
+    refined = []  # (edge ids, coloring) of each edge coloring refined so far
+    for name, ids in (("er", quantize_edge_values(res)),
+                      ("ht", ht_ids.reshape(2, -1).T),
+                      ("embedding", quantize_edge_values(np.sqrt(res)))):
+        same = [c for prev, c in refined if np.array_equal(prev, ids)]
+        colorings[name] = same[0] if same \
+            else wl_refine(graph, plain.node_colors, ids)
+        refined.append((ids, colorings[name]))
 
     variants = {}
-    for name, coloring in (("plain", plain), ("er", er_coloring),
-                           ("ht", ht_coloring), ("embedding", emb_coloring)):
-        strict = (refines(coloring.node_colors, plain.node_colors)
-                  and coloring.num_classes > plain.num_classes)
+    for name, coloring in colorings.items():
+        # started from plain's colors, every variant refines plain
+        strict = coloring.num_classes > plain.num_classes
         variants[name] = ExpressivityVariant(
             name=name,
             num_classes=coloring.num_classes,

@@ -1,7 +1,8 @@
 """Oracles that only the tests use: Monte Carlo walks, shortest paths,
 ``numpy.linalg.pinv`` pseudoinverses and resistances, exact rational
-resistances, grid and disjoint-union builders, and VF2 automorphism orbits
-through networkx.
+resistances, grid and disjoint-union builders, breadth-first component
+labels, textbook color refinement, and VF2 automorphism orbits through
+networkx.
 
 They import nothing from the package but :mod:`affinity.graph`, so they stay
 independent of the solver stack they check. networkx comes with the ``test``
@@ -10,6 +11,7 @@ extra (``pip install .[test]``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,6 +208,79 @@ def spd_bellman_ford(graph: Graph, source: int) -> np.ndarray:
             break
         dist = relaxed
     return dist
+
+
+def bfs_component_labels(graph: Graph) -> np.ndarray:
+    """Component label per node by breadth-first search, started from every
+    unlabelled node in increasing order, so labels count components by
+    their lowest node."""
+    neighbors: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    labels = [-1] * graph.num_nodes
+    count = 0
+    for start in range(graph.num_nodes):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            for y in neighbors[queue.popleft()]:
+                if labels[y] < 0:
+                    labels[y] = count
+                    queue.append(y)
+        count += 1
+    return np.array(labels, dtype=np.int64)
+
+
+def _first_seen(labels: list) -> list[int]:
+    ids: dict = {}
+    for label in labels:
+        if label not in ids:
+            ids[label] = len(ids)
+    return [ids[label] for label in labels]
+
+
+def color_refinement(graph: Graph, initial=None, edge_colors=None,
+                     max_rounds: int | None = None
+                     ) -> tuple[list[list[int]], int | None]:
+    """Textbook 1-WL, one round at a time, on Python lists and dicts.
+
+    A node's new label is (its label, sorted list of (neighbor label, edge
+    color as seen from the node)); edge colors are kept as the Python values
+    they are, flat (m,) or (m, 2) with column 0 seen from edge_u. Labels are
+    renumbered in first-seen node order after every round. Rounds run until
+    one leaves the number of classes unchanged, which is then not recorded,
+    or until ``max_rounds`` (default max(n, 1)) rounds have run.
+
+    Returns:
+        (history, rounds_to_stabilize): the labels before the first round and
+        after every recorded round, and the number of recorded rounds, or
+        None when the round cap ended the refinement.
+    """
+    n = graph.num_nodes
+    colors = [0] * graph.num_edges if edge_colors is None \
+        else np.asarray(edge_colors).tolist()
+    seen_by: list[list[tuple[int, object]]] = [[] for _ in range(n)]
+    for u, v, color in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
+                           colors):
+        pair = color if isinstance(color, list) else [color, color]
+        seen_by[u].append((v, pair[0]))
+        seen_by[v].append((u, pair[1]))
+    labels = _first_seen([0] * n if initial is None
+                         else np.asarray(initial).tolist())
+    history = [labels]
+    limit = max(n, 1) if max_rounds is None else max_rounds
+    for _ in range(limit):
+        new = _first_seen([
+            (labels[x], tuple(sorted((labels[y], c) for y, c in seen_by[x])))
+            for x in range(n)])
+        if len(set(new)) == len(set(labels)):
+            return history, len(history) - 1
+        labels = new
+        history.append(labels)
+    return history, None
 
 
 def _to_networkx(graph: Graph) -> nx.Graph:

@@ -1,11 +1,14 @@
 """CLI subcommands, exit codes, and flag-only solver settings."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affinity.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write_cycle(tmp_path, n=9):
@@ -194,6 +197,23 @@ def test_demo_expressivity_pair_json(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) == 2
+
+
+# Saved `affinity demo-expressivity --graph SELECTOR --json` output, one file
+# per selector; weighted_random.json is `affinity gen random --n 20
+# --avg-degree 2 --wmin 0.5 --wmax 2 --seed 5`.
+@pytest.mark.parametrize("selector, fixture", [
+    ("witness", "demo_witness.json"),
+    ("pair:3", "demo_pair3.json"),
+    ("pair:5", "demo_pair5.json"),
+    ("weighted_random.json", "demo_weighted_random.json"),
+])
+def test_demo_expressivity_json_matches_its_fixture(selector, fixture, capsys,
+                                                    monkeypatch):
+    # a file selector is the report's key, so run beside the file
+    monkeypatch.chdir(DATA)
+    assert main(["demo-expressivity", "--graph", selector, "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / fixture).read_bytes()
 
 
 def test_gen_cycle_stdout(capsys):

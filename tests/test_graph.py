@@ -9,7 +9,7 @@ from affinity.graph import (CrossComponentError, GraphInputError,
                             build_graph, graph_from_edgelist, graph_from_json,
                             graph_to_json_dict, load_graph,
                             stationary_distribution)
-from oracles import disjoint_union
+from oracles import bfs_component_labels, disjoint_union
 from affinity.solvers import dense_laplacian, laplacian_csr
 
 
@@ -179,6 +179,21 @@ def test_component_labels_follow_lowest_node():
     assert g.num_components == 7
     assert g.component_of.tolist() == \
         [0, 1, 2, 3, 1, 0, 3, 4, 5, 0, 6, 1, 3, 5]
+
+    # seeded sparse graphs: many components, isolated nodes, edges in
+    # random order and orientation, checked against breadth-first search
+    rng = np.random.default_rng(41)
+    components = isolated = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        pairs = rng.integers(0, n, (int(rng.integers(0, n)), 2))
+        g = build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        labels = bfs_component_labels(g)
+        assert g.num_components == labels.max() + 1
+        assert np.array_equal(g.component_of, labels)
+        components += g.num_components
+        isolated += int((g.degrees == 0).sum())
+    assert components > 10_000 and isolated > 5_000
 
 
 def test_apply_laplacian_hand_value():

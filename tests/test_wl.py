@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from affinity import wl
 from affinity.graph import build_graph
-from affinity.measures import AffinityTable
+from affinity.measures import AffinityTable, _closed_form
 from affinity.oracle import (build_cycle, build_path, counterexample_pair,
                              witness_graph)
-from oracles import automorphism_orbits, disjoint_union, spd_bellman_ford
+from affinity.solvers import dense_pseudoinverse
+from oracles import (automorphism_orbits, color_refinement, disjoint_union,
+                     spd_bellman_ford)
 from affinity.wl import (expressivity_report, quantize_edge_values, refines,
                          wl_refine)
 
@@ -101,6 +104,107 @@ def test_directed_colors_on_shuffled_multi_component_graph():
     capped = wl_refine(g, edge_colors=colors, max_rounds=1)
     assert capped.node_colors.tolist() == [0, 1, 2, 2, 0, 3]
     assert capped.rounds_to_stabilize is None
+
+
+def test_real_valued_edge_colors_are_compared_exactly():
+    # 0.2 and 0.7 are two colors, as 0 and 1 are; truncated to ints they
+    # would be one, and the path's reflection would survive
+    g = build_path(4)
+    real = wl_refine(g, edge_colors=np.array([0.2, 0.7, 0.7]))
+    assert real.node_colors.tolist() == [0, 1, 2, 3]
+    assert real.node_colors.tolist() == \
+        wl_refine(g, edge_colors=np.array([0, 1, 1])).node_colors.tolist()
+
+
+def _random_graphs(count: int, seed: int) -> list:
+    """Seeded random graphs, often disconnected and with isolated nodes."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+        graphs.append(build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    return graphs
+
+
+EDGE_COLORINGS = {
+    "none": lambda rng, m: None,
+    "flat": lambda rng, m: rng.integers(0, 3, m),
+    "directional": lambda rng, m: rng.integers(0, 2, (m, 2)),
+    "negative_and_huge": lambda rng, m: rng.choice(
+        np.array([-(2 ** 50), -3, 0, 2 ** 40 + 1, 2 ** 62]), (m, 2)),
+    "real": lambda rng, m: rng.choice(np.array([0.2, 0.7, 0.75]), m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_COLORINGS))
+def test_wl_refine_matches_the_refinement_oracle(kind):
+    rng = np.random.default_rng(sorted(EDGE_COLORINGS).index(kind))
+    capped_on_discrete = 0
+    for i, g in enumerate(_random_graphs(40, seed=7)):
+        ec = EDGE_COLORINGS[kind](rng, g.num_edges)
+        initial = rng.integers(-2, 3, g.num_nodes) if i % 2 else None
+        history, _ = color_refinement(g, initial, ec)
+        discrete = len(set(history[-1])) == g.num_nodes
+        # every cap up to one past stability, the discrete round's included
+        for cap in [None, *range(len(history) + 1)]:
+            want, want_rounds = color_refinement(g, initial, ec, cap)
+            coloring = wl_refine(g, initial, ec, max_rounds=cap)
+            assert [h.tolist() for h in coloring.history] == want
+            assert coloring.node_colors.tolist() == want[-1]
+            assert coloring.rounds_to_stabilize == want_rounds
+            capped_on_discrete += discrete and cap == len(history) - 1 > 0
+    assert capped_on_discrete >= 5
+
+
+def _er_apart_from_embedding():
+    # two lone edges whose resistances 1 and 1 + 1.5e-9 are more than the
+    # tolerance apart, while their square roots are not
+    return build_graph(4, [(0, 1, 1.0), (2, 3, 1.0 / (1.0 + 1.5e-9))])
+
+
+def test_expressivity_variants_match_the_refinement_oracle(corpus_small):
+    graphs = [*corpus_small[:8], witness_graph(), *counterexample_pair(3),
+              *_random_graphs(10, seed=8), _er_apart_from_embedding()]
+    for g in graphs:
+        res, forth, back = _closed_form(g, dense_pseudoinverse(g),
+                                        g.edge_u, g.edge_v)
+        ht_ids = quantize_edge_values(np.concatenate([forth, back]))
+        edge_ids = {"plain": None, "er": quantize_edge_values(res),
+                    "ht": ht_ids.reshape(2, -1).T,
+                    "embedding": quantize_edge_values(np.sqrt(res))}
+        report = expressivity_report(g).to_dict()
+        plain = color_refinement(g)[0][-1]
+        for name, ids in edge_ids.items():
+            colors = color_refinement(g, edge_colors=ids)[0][-1]
+            assert report[name] == {
+                "num_classes": len(set(colors)),
+                "class_sizes": sorted(np.bincount(colors).tolist(),
+                                      reverse=True),
+                "strictly_refines_plain":
+                    len(set(zip(colors, plain))) == len(set(colors))
+                    > len(set(plain)),
+                "node_colors": colors}
+
+
+def test_expressivity_report_refines_each_distinct_edge_coloring_once(
+        monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wl_refine(*args, **kwargs)
+
+    monkeypatch.setattr(wl, "wl_refine", counting)
+    # er and embedding ids agree on the witness: plain, er and ht refine
+    report = expressivity_report(witness_graph())
+    assert len(calls) == 3
+    assert report["embedding"].node_colors is report["er"].node_colors
+    calls.clear()
+    report = expressivity_report(_er_apart_from_embedding())
+    assert len(calls) == 4
+    assert [report[name].num_classes
+            for name in ("plain", "er", "ht", "embedding")] == [1, 2, 1, 1]
 
 
 def test_max_rounds_caps_refinement():
