@@ -18,7 +18,7 @@ from .measures import (AffinityTable, commute_time, effective_resistance,
                        effective_resistance_from_embedding, hitting_time_exact,
                        hitting_time_via_embedding, tetali_hitting_time)
 from .oracle import (broken_cycle_resistance, build_cycle, build_path,
-                     counterexample_pair, cycle_resistance, find_witness_graph,
+                     counterexample_pair, cycle_resistance,
                      grounded_hitting_times, random_connected_graph,
                      witness_graph)
 from .solvers import (SolverConfig, SolverConvergenceError, dense_laplacian,
@@ -39,7 +39,7 @@ __all__ = [
     "effective_resistance_from_embedding", "hitting_time_exact",
     "hitting_time_via_embedding", "tetali_hitting_time",
     "broken_cycle_resistance", "build_cycle", "build_path",
-    "counterexample_pair", "cycle_resistance", "find_witness_graph",
+    "counterexample_pair", "cycle_resistance",
     "grounded_hitting_times", "random_connected_graph", "witness_graph",
     "SolverConfig", "SolverConvergenceError", "dense_laplacian",
     "dense_pseudoinverse", "project_out_nullspace", "solve_laplacian",

@@ -168,8 +168,9 @@ def build_graph(num_nodes: int, edges) -> Graph:
     weights, keeping first-occurrence order.
 
     Raises:
-        GraphInputError: on out-of-range ids, self-loops, or weights that
-            are not finite and strictly positive.
+        GraphInputError: on out-of-range ids, self-loops, weights that
+            are not finite and strictly positive, or a node count whose
+            degree array cannot be allocated.
     """
     if not _is_int(num_nodes) or num_nodes < 0:
         raise GraphInputError(f"num_nodes must be a non-negative int, got {num_nodes!r}")
@@ -209,9 +210,13 @@ def build_graph(num_nodes: int, edges) -> Graph:
         edge_w = np.zeros(0, np.float64)
 
     # bincount of an empty array is int64 whatever the weights
-    degrees = (np.bincount(edge_u, weights=edge_w, minlength=num_nodes)
-               + np.bincount(edge_v, weights=edge_w, minlength=num_nodes)
-               ).astype(np.float64, copy=False)
+    try:
+        degrees = (np.bincount(edge_u, weights=edge_w, minlength=num_nodes)
+                   + np.bincount(edge_v, weights=edge_w, minlength=num_nodes)
+                   ).astype(np.float64, copy=False)
+    except MemoryError as exc:  # the first array of num_nodes entries
+        raise GraphInputError(f"{num_nodes} nodes cannot be allocated: "
+                              f"{exc}") from None
     total_weight = float(edge_w.sum())
 
     nodes = np.arange(num_nodes)

@@ -1,15 +1,14 @@
 """Graph generators, closed forms, the dense grounded hitting-time oracle,
-automorphism orbits of small graphs, and the canonical cubic witness graph.
+and the frozen cubic witness graph with its orbits and edge resistances.
 
 The generators, closed forms and :func:`grounded_hitting_times` avoid the
-solver stack, so they can serve as oracles for it; the witness fingerprint
-reads :meth:`AffinityTable.exact`. Routines are vectorized where it matters
-but are intended for verification-scale graphs unless noted otherwise.
+solver stack, so they can serve as oracles for it. The witness is frozen
+here; the cubic-graph search that derives it is a test oracle
+(``tests/oracles.py``). Routines are vectorized where it matters but are
+intended for verification-scale graphs unless noted otherwise.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -129,48 +128,21 @@ def random_connected_graph(n: int, avg_degree: float,
     return build_graph(n, np.column_stack([us, vs, ws]))
 
 
-def _permutations(n: int) -> np.ndarray:
-    """All n! orderings of the nodes 0..n-1, one per row, the identity
-    first: node k is inserted at every position of the orderings of 0..k-1,
-    last position first."""
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for k in range(n):
-        perms = np.concatenate([np.insert(perms, j, k, axis=1)
-                                for j in range(k, -1, -1)])
-    return perms
-
-
-def automorphism_orbits(graph: Graph) -> np.ndarray:
-    """Node orbit labels under the full automorphism group (unweighted).
-
-    Tries all n! relabellings, so graphs above 8 nodes are refused with
-    ``ValueError``. A relabelling p is an automorphism when it maps every
-    edge onto an edge (``A[p][:, p] == A``); node i's orbit is its set of
-    images p[i]. Orbit ids are assigned in order of each orbit's smallest
-    member.
-    """
-    n = graph.num_nodes
-    if n > 8:
-        raise ValueError(f"automorphism_orbits tries all n! relabellings and "
-                         f"takes at most 8 nodes, got {n}")
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[graph.edge_u, graph.edge_v] = True
-    adjacency[graph.edge_v, graph.edge_u] = True
-    perms = _permutations(n)
-    kept = adjacency[perms[:, graph.edge_u], perms[:, graph.edge_v]].all(axis=1)
-    return np.unique(perms[kept].min(axis=0), return_inverse=True)[1]
-
-
 #: Edge list of the unique connected 3-regular graph on 8 nodes whose
-#: automorphism orbits (sizes 2, 4, 2) carry five distinct edge resistances.
-#: Derived by :func:`find_witness_graph`; frozen here for fast access.
+#: automorphism orbits (sizes 2, 4, 2) carry five distinct edge resistances,
+#: as the cubic-graph search of the test suite finds it.
 WITNESS_EDGES: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6),
     (4, 7), (5, 6), (5, 7), (6, 7),
 )
 
-#: Expected effective resistance per orbit-pair edge class, keyed by sorted
-#: orbit-size pair of the endpoints: 2/4/2-orbit labels (o1, o2, o3).
+#: Automorphism orbit of each witness node: o2 is the orbit of size 4, o1
+#: and o3 the two of size 2, o1 the one whose internal edge carries 2/3.
+WITNESS_ORBITS: tuple[str, ...] = ("o2", "o2", "o1", "o3", "o3", "o1",
+                                   "o2", "o2")
+
+#: Effective resistance of each witness edge class, keyed by the sorted
+#: :data:`WITNESS_ORBITS` names of its endpoints.
 WITNESS_EDGE_RESISTANCES: dict[tuple[str, str], float] = {
     ("o1", "o1"): 2.0 / 3.0,
     ("o1", "o2"): 185.0 / 336.0,
@@ -183,112 +155,3 @@ WITNESS_EDGE_RESISTANCES: dict[tuple[str, str], float] = {
 def witness_graph() -> Graph:
     """The frozen witness fixture (see :data:`WITNESS_EDGES`)."""
     return build_graph(8, WITNESS_EDGES)
-
-
-def _cubic_graphs_8() -> list[list[tuple[int, int]]]:
-    """All labeled 3-regular graphs on 8 nodes with node 0 adjacent to 1,2,3.
-
-    Backtracking on the smallest unsaturated node; each labeled graph is
-    produced exactly once because that node's remaining partners are chosen
-    as a single sorted combination.
-    """
-    adjacency: list[set[int]] = [set() for _ in range(8)]
-    for v in (1, 2, 3):
-        adjacency[0].add(v)
-        adjacency[v].add(0)
-    found: list[list[tuple[int, int]]] = []
-
-    def rec() -> None:
-        node = next((u for u in range(8) if len(adjacency[u]) < 3), None)
-        if node is None:
-            found.append(sorted((u, v) for u in range(8)
-                                 for v in adjacency[u] if u < v))
-            return
-        deficit = 3 - len(adjacency[node])
-        candidates = [v for v in range(node + 1, 8)
-                      if len(adjacency[v]) < 3 and v not in adjacency[node]]
-        for combo in itertools.combinations(candidates, deficit):
-            for v in combo:
-                adjacency[node].add(v)
-                adjacency[v].add(node)
-            rec()
-            for v in combo:
-                adjacency[node].remove(v)
-                adjacency[v].remove(node)
-
-    rec()
-    return found
-
-
-def _matches_witness_fingerprint(graph: Graph) -> bool:
-    """Check orbit sizes (2, 4, 2) and all five edge-class resistances."""
-    from .measures import AffinityTable
-
-    orbits = automorphism_orbits(graph)
-    sizes = np.bincount(orbits)
-    if sorted(sizes.tolist()) != [2, 2, 4]:
-        return False
-    small = [int(o) for o in np.unique(orbits) if sizes[o] == 2]
-    big = [int(o) for o in np.unique(orbits) if sizes[o] == 4][0]
-
-    res = AffinityTable.exact(graph).res
-    for first, last in (small, list(reversed(small))):
-        names = {first: "o1", big: "o2", last: "o3"}
-        seen: dict[tuple[str, str], float] = {}
-        ok = True
-        for u, v in zip(graph.edge_u, graph.edge_v):
-            pair = tuple(sorted((names[int(orbits[u])], names[int(orbits[v])])))
-            if pair not in WITNESS_EDGE_RESISTANCES:
-                ok = False
-                break
-            value = res[u, v]
-            if abs(value - WITNESS_EDGE_RESISTANCES[pair]) > 1e-12:
-                ok = False
-                break
-            seen[pair] = value
-        if ok and set(seen) == set(WITNESS_EDGE_RESISTANCES):
-            return True
-    return False
-
-
-def _adjacency_masks(perms: np.ndarray,
-                     edges: list[tuple[int, int]]) -> np.ndarray:
-    """The 64-bit adjacency mask (bit 8a + b set for every edge direction
-    a -> b) of an 8-node graph under each relabelling in ``perms``."""
-    u, v = np.array(edges).T
-    a, b = perms[:, u], perms[:, v]
-    bits = np.concatenate([8 * a + b, 8 * b + a], axis=1).astype(np.uint64)
-    return np.bitwise_or.reduce(np.left_shift(np.uint64(1), bits), axis=1)
-
-
-def find_witness_graph() -> Graph:
-    """Search all connected cubic graphs on 8 nodes for the unique one whose
-    orbit structure and edge resistances match the witness fingerprint.
-
-    Isomorphism is tested exactly: each new class adds the adjacency masks
-    of all 40,320 relabellings of its first member to the known set.
-
-    Raises:
-        RuntimeError: if the enumeration or the fingerprint match does not
-            come out exactly as expected (5 isomorphism classes, 1 match).
-    """
-    perms = _permutations(8)
-    known: set[int] = set()
-    rep_edges: list[list[tuple[int, int]]] = []
-    for edges in _cubic_graphs_8():
-        # perms[0] is the identity, so this is the candidate's own mask
-        if int(_adjacency_masks(perms[:1], edges)[0]) in known:
-            continue
-        if build_graph(8, edges).num_components != 1:
-            continue
-        known.update(_adjacency_masks(perms, edges).tolist())
-        rep_edges.append(edges)
-    if len(rep_edges) != 5:
-        raise RuntimeError(f"expected 5 connected cubic graphs on 8 nodes, "
-                           f"enumerated {len(rep_edges)}")
-    matches = [edges for edges in rep_edges
-               if _matches_witness_fingerprint(build_graph(8, edges))]
-    if len(matches) != 1:
-        raise RuntimeError(f"witness fingerprint matched {len(matches)} of 5 "
-                           f"cubic graphs, expected exactly 1")
-    return build_graph(8, matches[0])

@@ -2,7 +2,7 @@
 
 Each suite returns a list of :class:`CheckResult`; a check compares a
 measured quantity produced by the main code paths against an independent
-route (closed forms, identities, or brute-force search) at an explicit
+route (closed forms, identities, or frozen exact values) at an explicit
 threshold. These are smaller, faster versions of the acceptance
 tests so users can smoke-test an installation.
 """
@@ -16,10 +16,10 @@ import numpy as np
 from .embeddings import exact_embedding, sketched_embedding
 from .graph import stationary_distribution
 from .measures import AffinityTable, _closed_form, tetali_hitting_time
-from .oracle import (broken_cycle_resistance, counterexample_pair,
-                     cycle_resistance, find_witness_graph,
-                     grounded_hitting_times, random_connected_graph,
-                     witness_graph)
+from .oracle import (WITNESS_EDGE_RESISTANCES, WITNESS_ORBITS,
+                     broken_cycle_resistance, counterexample_pair,
+                     cycle_resistance, grounded_hitting_times,
+                     random_connected_graph, witness_graph)
 from .wl import expressivity_report
 
 SUITE_NAMES = ("identities", "jl", "ht-error", "expressivity")
@@ -147,17 +147,18 @@ def suite_ht_error(seed: int = 0) -> list[CheckResult]:
 
 
 def suite_expressivity(seed: int = 0) -> list[CheckResult]:
-    """Witness graph separation and the local-blindness counterexample."""
+    """Witness resistances and separation, and the cycle/path counterexample."""
     del seed  # deterministic fixtures
     results = []
 
-    found = find_witness_graph()
     fixture = witness_graph()
-    same = (found.num_nodes == fixture.num_nodes
-            and np.array_equal(found.edge_u, fixture.edge_u)
-            and np.array_equal(found.edge_v, fixture.edge_v))
-    results.append(CheckResult("witness-search", same, float(same), 1.0,
-                               "unique cubic graph matches frozen fixture"))
+    res = AffinityTable.exact(fixture).res
+    gap = max(abs(res[u, v] - WITNESS_EDGE_RESISTANCES[
+        tuple(sorted((WITNESS_ORBITS[u], WITNESS_ORBITS[v])))])
+        for u, v in zip(fixture.edge_u.tolist(), fixture.edge_v.tolist()))
+    results.append(CheckResult("witness-resistances", gap <= 1e-12, gap,
+                               1e-12, f"{fixture.num_edges} witness edges "
+                               f"vs frozen orbit-pair values"))
 
     report = expressivity_report(fixture)
     plain_one = report["plain"].num_classes == 1

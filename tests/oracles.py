@@ -1,8 +1,9 @@
 """Oracles that only the tests use: Monte Carlo walks, shortest paths,
 ``numpy.linalg.pinv`` pseudoinverses and resistances, exact rational
 resistances, grid and disjoint-union builders, breadth-first component
-labels, textbook color refinement, and VF2 automorphism orbits through
-networkx.
+labels, textbook color refinement, VF2 automorphism orbits through
+networkx, and the search over all cubic graphs on 8 nodes that derives the
+package's frozen witness graph.
 
 They import nothing from the package but :mod:`affinity.graph`, so they stay
 independent of the solver stack they check. networkx comes with the ``test``
@@ -11,6 +12,7 @@ extra (``pip install .[test]``).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,8 +296,7 @@ def automorphism_orbits(graph: Graph) -> np.ndarray:
     """Node orbit labels under the full automorphism group (unweighted).
 
     Enumerates all self-isomorphisms via VF2, so this is only meant for
-    fixture-sized graphs; unlike :func:`affinity.oracle.automorphism_orbits`
-    it has no 8-node limit. Orbit ids are assigned in order of each orbit's
+    fixture-sized graphs. Orbit ids are assigned in order of each orbit's
     smallest member.
     """
     g = _to_networkx(graph)
@@ -321,3 +322,87 @@ def automorphism_orbits(graph: Graph) -> np.ndarray:
             labels[root] = len(labels)
         out[node] = labels[root]
     return out
+
+
+def _cubic_graphs_8() -> list[list[tuple[int, int]]]:
+    """All labeled 3-regular graphs on 8 nodes with node 0 adjacent to 1,2,3.
+
+    Backtracking on the smallest unsaturated node; each labeled graph is
+    produced exactly once because that node's remaining partners are chosen
+    as a single sorted combination.
+    """
+    adjacency: list[set[int]] = [set() for _ in range(8)]
+    for v in (1, 2, 3):
+        adjacency[0].add(v)
+        adjacency[v].add(0)
+    found: list[list[tuple[int, int]]] = []
+
+    def rec() -> None:
+        node = next((u for u in range(8) if len(adjacency[u]) < 3), None)
+        if node is None:
+            found.append(sorted((u, v) for u in range(8)
+                                 for v in adjacency[u] if u < v))
+            return
+        candidates = [v for v in range(node + 1, 8)
+                      if len(adjacency[v]) < 3 and v not in adjacency[node]]
+        for combo in itertools.combinations(candidates,
+                                            3 - len(adjacency[node])):
+            for v in combo:
+                adjacency[node].add(v)
+                adjacency[v].add(node)
+            rec()
+            for v in combo:
+                adjacency[node].remove(v)
+                adjacency[v].remove(node)
+
+    rec()
+    return found
+
+
+def find_witness_graph(edge_resistances: dict[tuple[str, str], float]
+                       ) -> tuple[Graph, tuple[str, ...]]:
+    """The one connected cubic graph on 8 nodes whose orbits and exact edge
+    resistances match ``edge_resistances``, with its node orbit names.
+
+    The labeled cubic graphs are deduplicated with networkx's isomorphism
+    test, keeping each class's first member. A class matches when its VF2
+    orbits have sizes 2, 4, 2 and, with the 4-node orbit named o2 and the
+    two 2-node orbits named o1 and o3 in one of the two ways, every edge's
+    :func:`rational_edge_resistances` value equals ``edge_resistances`` of
+    its sorted endpoint names, and every key is used.
+
+    Raises:
+        RuntimeError: unless there are 5 classes and exactly 1 matches.
+    """
+    classes: list[tuple[list[tuple[int, int]], nx.Graph]] = []
+    for edges in _cubic_graphs_8():
+        g = nx.Graph(edges)
+        if nx.is_connected(g) and not any(nx.is_isomorphic(g, rep)
+                                          for _, rep in classes):
+            classes.append((edges, g))
+    if len(classes) != 5:
+        raise RuntimeError(f"expected 5 connected cubic graphs on 8 nodes, "
+                           f"enumerated {len(classes)}")
+    matches = []
+    for edges, _ in classes:
+        graph = build_graph(8, edges)
+        orbits = automorphism_orbits(graph).tolist()
+        sizes = [orbits.count(o) for o in range(max(orbits) + 1)]
+        if sorted(sizes) != [2, 2, 4]:
+            continue
+        res = rational_edge_resistances(graph).tolist()
+        pairs = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
+        small = [o for o, size in enumerate(sizes) if size == 2]
+        for first, last in (small, small[::-1]):
+            names = {first: "o1", sizes.index(4): "o2", last: "o3"}
+            node_names = tuple(names[o] for o in orbits)
+            keys = [tuple(sorted((node_names[u], node_names[v])))
+                    for u, v in pairs]
+            if set(keys) == set(edge_resistances) and all(
+                    edge_resistances[key] == value
+                    for key, value in zip(keys, res)):
+                matches.append((graph, node_names))
+    if len(matches) != 1:
+        raise RuntimeError(f"the witness fingerprint matched {len(matches)} "
+                           f"times among the 5 cubic graphs, expected 1")
+    return matches[0]

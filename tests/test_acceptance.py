@@ -23,8 +23,9 @@ import affinity as af
 from affinity import oracle
 from affinity.measures import AffinityTable
 from affinity.solvers import SMALL_COMPONENT_NODES
-from oracles import (build_grid, disjoint_union, mc_hitting_time,
-                     pinv_resistances, spd_bellman_ford)
+from oracles import (automorphism_orbits, build_grid, disjoint_union,
+                     find_witness_graph, mc_hitting_time, pinv_resistances,
+                     spd_bellman_ford)
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -163,13 +164,14 @@ def test_three_hitting_time_routes_agree(corpus100, exact_tables,
 def test_witness_search_returns_unique_fingerprint_match():
     """The cubic enumeration finds exactly one graph with the target orbit
     structure, and its five edge classes carry the expected resistances."""
-    found = oracle.find_witness_graph()  # raises unless the match is unique
+    # raises unless exactly one cubic graph matches the frozen values
+    found, _ = find_witness_graph(oracle.WITNESS_EDGE_RESISTANCES)
     fixture = oracle.witness_graph()
     assert np.array_equal(found.edge_u, fixture.edge_u)
     assert np.array_equal(found.edge_v, fixture.edge_v)
     assert np.all(found.edge_w == 1.0)
 
-    orbits = oracle.automorphism_orbits(found)
+    orbits = automorphism_orbits(found)
     sizes = np.bincount(orbits)
     assert sorted(sizes.tolist()) == [2, 2, 4]
     big = int(np.argmax(sizes))
@@ -207,7 +209,7 @@ def test_witness_separation_uses_exactly_orbit_classes():
     augmentation splits it into exactly the three automorphism orbits."""
     g = oracle.witness_graph()
     report = af.expressivity_report(g)
-    orbits = _first_seen(oracle.automorphism_orbits(g))
+    orbits = _first_seen(automorphism_orbits(g))
 
     assert report["plain"].num_classes == 1
     details = []

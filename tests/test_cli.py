@@ -145,6 +145,23 @@ def test_compute_endpoint_beyond_float64_is_exit_2(tmp_path, capsys, name,
     assert "401 digits, beyond the float64 range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.json", json.dumps({"num_nodes": 10 ** 15, "edges": []})),
+    ("g.txt", f"0 {10 ** 15}\n"),
+])
+def test_compute_unallocatable_node_count_is_exit_2(tmp_path, capsys, name,
+                                                    text):
+    # the node arrays need petabytes, so their allocation fails at once
+    graph_file = tmp_path / name
+    graph_file.write_text(text)
+    code = main(["compute", "--input", str(graph_file), "--features", "er",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 10000000000000") and err.count("\n") == 1
+    assert "nodes cannot be allocated" in err
+
+
 def test_environment_does_not_change_compute(tmp_path, monkeypatch):
     # the solver settings are flags only: values that would break the
     # solve, set in the environment, leave the run and its bytes unchanged
@@ -178,6 +195,14 @@ def test_verify_expressivity_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_fails_on_a_wrong_witness_resistance(capsys, monkeypatch):
+    from affinity import oracle
+    monkeypatch.setitem(oracle.WITNESS_EDGE_RESISTANCES, ("o1", "o1"), 0.7)
+    code = main(["verify", "--suite", "expressivity"])
+    assert code == 1
+    assert "[FAIL] witness-resistances" in capsys.readouterr().out
 
 
 def test_verify_unknown_suite(capsys):

@@ -5,13 +5,12 @@ import pytest
 
 from affinity.graph import CrossComponentError, build_graph
 from affinity.measures import hitting_time_exact
-from affinity.oracle import (WITNESS_EDGES, _cubic_graphs_8,
-                             automorphism_orbits, broken_cycle_resistance,
+from affinity.oracle import (WITNESS_EDGE_RESISTANCES, WITNESS_EDGES,
+                             WITNESS_ORBITS, broken_cycle_resistance,
                              build_cycle, build_path, counterexample_pair,
-                             cycle_resistance, find_witness_graph,
-                             grounded_hitting_times, random_connected_graph,
-                             witness_graph)
-from oracles import (automorphism_orbits as vf2_automorphism_orbits,
+                             cycle_resistance, grounded_hitting_times,
+                             random_connected_graph, witness_graph)
+from oracles import (automorphism_orbits, find_witness_graph,
                      mc_hitting_time, spd_bellman_ford)
 
 
@@ -184,21 +183,6 @@ def test_automorphism_orbits_cycle_and_path():
     assert orbits.tolist() == [0, 1, 1, 0]
 
 
-def test_automorphism_orbits_match_vf2():
-    cubic = [build_graph(8, edges) for edges in _cubic_graphs_8()]
-    graphs = [g for g in cubic if g.num_components == 1]
-    graphs += [build_path(n) for n in range(3, 9)]
-    graphs += [build_cycle(n) for n in range(3, 9)]
-    for g in graphs:
-        assert np.array_equal(automorphism_orbits(g),
-                              vf2_automorphism_orbits(g))
-
-
-def test_automorphism_orbits_refuse_more_than_eight_nodes():
-    with pytest.raises(ValueError, match="at most 8 nodes, got 9"):
-        automorphism_orbits(build_path(9))
-
-
 def test_witness_fixture_is_cubic_and_connected():
     g = witness_graph()
     assert g.num_nodes == 8 and g.num_edges == 12
@@ -209,12 +193,17 @@ def test_witness_fixture_is_cubic_and_connected():
 def test_witness_orbits_sizes():
     orbits = automorphism_orbits(witness_graph())
     assert sorted(np.bincount(orbits).tolist()) == [2, 2, 4]
+    # the frozen names give the same partition: one name per VF2 orbit
+    names = sorted(set(WITNESS_ORBITS))
+    assert len(set(zip(WITNESS_ORBITS, orbits.tolist()))) == len(names) == 3
+    assert [WITNESS_ORBITS.count(name) for name in names] == [2, 4, 2]
 
 
 def test_find_witness_graph_matches_frozen_fixture():
-    found = find_witness_graph()
+    found, orbit_names = find_witness_graph(WITNESS_EDGE_RESISTANCES)
     assert list(zip(found.edge_u.tolist(), found.edge_v.tolist())) \
         == sorted(WITNESS_EDGES)
+    assert orbit_names == WITNESS_ORBITS
 
 
 def test_witness_edge_resistances():
