@@ -11,8 +11,9 @@ does not depend on how rows are batched.
 
 Work whose whole would be an (m, k) or (n, m) array goes in blocks of at
 most :data:`_BLOCK_ENTRIES` float64 entries (4 MiB), one budget that the
-sign fold, the exact embedding and the closed forms' edge-row reads share;
-every value is computed row by row, so the blocks move no bit.
+sign fold, the exact embedding, the closed forms' edge-row reads and the
+(rotated) edge embedding's row differences share; every value is computed
+row by row, so the blocks move no bit.
 
 :func:`random_rotation` returns a plain (dim, dim) rotation array; it is
 applied to feature sets by :func:`affinity.features.augment_with_rotation`,

@@ -34,7 +34,7 @@ from .solvers import SolverConfig, _solve_route, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _BINARY_MAGIC = b"RESE"
 _FLAG_SKETCHED = 1
@@ -119,8 +119,7 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
             graph, gram, u, v, diffs if filled else None)
         arrays["edge_ht"] = np.column_stack([forth, back])
     if diffs is not None and not filled:
-        for block in _blocks(graph.num_edges, vecs.shape[1]):
-            np.subtract(vecs[u[block]], vecs[v[block]], out=diffs[block])
+        _edge_rows(vecs, u, v, diffs)
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -148,21 +147,48 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
     )
 
 
+def _edge_rows(vecs: np.ndarray, u: np.ndarray, v: np.ndarray,
+               out: np.ndarray) -> None:
+    """out[e] = vecs[u[e]] - vecs[v[e]], the manifest's
+    ``edge_embedding_convention``, written into ``out`` a block of edges at
+    a time through one reused scratch block for the rows vecs[v]."""
+    blocks = _blocks(len(u), vecs.shape[1])
+    scratch = np.empty((blocks[0].stop if blocks else 0, vecs.shape[1]))
+    for block in blocks:
+        rows, rows_v = out[block], scratch[:block.stop - block.start]
+        # take's "raise" mode would gather into a buffer first, "wrap" does not
+        np.take(vecs, u[block], axis=0, out=rows, mode="wrap")
+        np.take(vecs, v[block], axis=0, out=rows_v, mode="wrap")
+        np.subtract(rows, rows_v, out=rows)
+
+
 def augment_with_rotation(features: FeatureSet, rotation_seed: int) -> FeatureSet:
     """Rotate the embedding-valued families by a seeded random rotation.
 
     Distance-derived families (edge_er, edge_ht) are untouched; the seed is
-    appended to the manifest so the exact arrays can be replayed.
+    appended to the manifest so the exact arrays can be replayed. The edge
+    embedding relies on the manifest's convention, row = embedding[u] -
+    embedding[v]: with node rows present, the rotated edge rows are the
+    differences of the rotated node rows, so only the (n, k) node rows pass
+    through a product with the rotation and no (m, k) temporary is made. A
+    set holding only the edge embedding rotates its rows in one product. An
+    embedding without columns rotates to itself.
     """
     target = features.node_embedding if features.node_embedding is not None \
         else features.edge_embedding
     if target is None:
         raise ValueError("feature set has no embedding-valued family to rotate")
-    rotation = random_rotation(target.shape[1], rotation_seed)
+    dim = target.shape[1]
+    # the (0, 0) corner of a 1 x 1 rotation still checks the seed
+    rotation = random_rotation(max(dim, 1), rotation_seed)[:dim, :dim]
     updates: dict = {}
     if features.node_embedding is not None:
         updates["node_embedding"] = features.node_embedding @ rotation.T
-    if features.edge_embedding is not None:
+        if features.edge_embedding is not None:
+            updates["edge_embedding"] = np.empty(features.edge_embedding.shape)
+            _edge_rows(updates["node_embedding"], features.edge_index[:, 0],
+                       features.edge_index[:, 1], updates["edge_embedding"])
+    elif features.edge_embedding is not None:
         updates["edge_embedding"] = features.edge_embedding @ rotation.T
     manifest = dict(features.manifest)
     manifest["rotation_seeds"] = list(manifest.get("rotation_seeds", [])) \

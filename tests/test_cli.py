@@ -53,6 +53,19 @@ def test_compute_sketched_with_rotation(tmp_path):
     assert manifest["epsilon"] == 0.4
 
 
+def test_compute_rotation_of_a_graph_without_edges(tmp_path):
+    graph_file = tmp_path / "bare.json"
+    graph_file.write_text(json.dumps({"num_nodes": 3, "edges": []}))
+    out = tmp_path / "rot"
+    code = main(["compute", "--input", str(graph_file),
+                 "--features", "er,ht,node-emb,edge-emb", "--rotate", "5",
+                 "--format", "binary", "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rotation_seeds"] == [5]
+    assert manifest["embedding_dim"] == 0
+
+
 def test_compute_binary_byte_identical(tmp_path):
     graph_file = _write_cycle(tmp_path)
     args = ["compute", "--input", str(graph_file), "--features", "node-emb",

@@ -110,9 +110,9 @@ def test_assemble_sketched_metadata():
 
 
 def test_manifest_names_the_projection_and_the_solve_route(pcg_route):
-    assert features.FORMAT_VERSION == 7
+    assert features.FORMAT_VERSION == 8
     exact = assemble_features(_path3(), ["edge_er"]).manifest
-    assert exact["format_version"] == 7
+    assert exact["format_version"] == 8
     assert exact["projection"] is None and exact["solver"]["route"] is None
     small = random_connected_graph(30, 3.0, seed=2)
     for route, g in (("sparse LU", small), ("sparse LU", build_grid(25, 25)),
@@ -284,6 +284,66 @@ def test_rotation_requires_embedding_family():
     fs = assemble_features(_path3(), ["edge_er"])
     with pytest.raises(ValueError, match="rotate"):
         augment_with_rotation(fs, 0)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5], ids=["exact", "sketched"])
+def test_rotated_edge_rows_are_differences_of_rotated_node_rows(epsilon):
+    for g in _block_graphs():
+        fs = assemble_features(g, list(FAMILIES), epsilon=epsilon, seed=5)
+        rot = augment_with_rotation(fs, 9)
+        u, v = g.edge_u, g.edge_v
+        # the manifest's convention holds bit for bit after the rotation
+        assert np.array_equal(rot.edge_embedding,
+                              rot.node_embedding[u] - rot.node_embedding[v])
+        # and the rows are the unrotated edge rows rotated, to rounding
+        k = fs.node_embedding.shape[1]
+        direct = fs.edge_embedding @ embeddings.random_rotation(k, 9).T
+        gap = np.abs(rot.edge_embedding - direct).max()
+        assert gap <= 1e-13 * np.abs(direct).max(), gap
+
+
+def test_edge_embedding_alone_rotates_in_one_product():
+    g = _block_graphs()[0]
+    for epsilon in (None, 0.5):
+        fs = assemble_features(g, ["edge_embedding"], epsilon=epsilon, seed=5)
+        rot = augment_with_rotation(fs, 9)
+        k = fs.edge_embedding.shape[1]
+        assert np.array_equal(
+            rot.edge_embedding,
+            fs.edge_embedding @ embeddings.random_rotation(k, 9).T)
+        assert rot.manifest["rotation_seeds"] == [9]
+
+
+def test_rotated_edge_rows_keep_resistances_on_a_weight_spread_path():
+    # weights 10^U(-3, 3) give node rows far larger than the edge rows, so
+    # differencing rotated node rows loses the most digits here
+    n = 5000
+    w = 10.0 ** np.random.default_rng(26).uniform(-3, 3, n - 1)
+    g = build_graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n), w]))
+    fs = augment_with_rotation(
+        assemble_features(g, ["edge_er", "node_embedding", "edge_embedding"],
+                          epsilon=0.5, seed=3), 4)
+    norms = np.einsum("ij,ij->i", fs.edge_embedding, fs.edge_embedding)
+    np.testing.assert_allclose(norms, fs.edge_er, rtol=1e-10, atol=0)
+
+
+def test_embedding_without_columns_rotates_to_itself():
+    fs = assemble_features(build_graph(3, []), list(FAMILIES))
+    rot = augment_with_rotation(fs, 5)
+    assert rot.manifest["rotation_seeds"] == [5]
+    assert rot.node_embedding.shape == (3, 0)
+    assert rot.edge_embedding.shape == (0, 0)
+    assert rot.edge_er.shape == (0,) and rot.edge_ht.shape == (0, 2)
+    with pytest.raises(ValueError, match="seed"):
+        augment_with_rotation(fs, -1)
+    # no edges but columns: the block loop writes no row
+    nodes = np.arange(12.0).reshape(3, 4)
+    bare = FeatureSet(num_nodes=3, edge_index=np.zeros((0, 2), np.int64),
+                      manifest={}, node_embedding=nodes,
+                      edge_embedding=np.empty((0, 4)))
+    rot = augment_with_rotation(bare, 5)
+    assert rot.edge_embedding.shape == (0, 4)
+    assert rot.manifest["rotation_seeds"] == [5]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "binary"])
