@@ -26,7 +26,8 @@ import tracemalloc
 from contextlib import contextmanager
 
 from . import __version__
-from .features import assemble_features, augment_with_rotation, export_features
+from .features import (_rewrite, assemble_features, augment_with_rotation,
+                       export_features)
 from .graph import (CrossComponentError, Graph, GraphInputError,
                     graph_to_json_dict, load_graph)
 from .oracle import (build_cycle, build_path, counterexample_pair,
@@ -157,7 +158,7 @@ def _emit_graph(graph: Graph, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        with _writing(out), open(out, "w") as fh:
+        with _writing(out), _rewrite(out, "w") as fh:
             fh.write(text + "\n")
 
 

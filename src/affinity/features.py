@@ -12,7 +12,8 @@ The edge rows are gathered a block at a time (see
 its final array block by block. Exports stream: the text writers format a
 block of rows at a time, a binary array file is its header and then the
 array's own little-endian float64 buffer, and the binary reader reads the
-payload straight into the array it returns.
+payload straight into the array it returns. Every file is written through
+one opener, :func:`_rewrite`, which rewrites an existing file in place.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
@@ -210,6 +213,29 @@ def _table_names(fmt: str, families) -> list[str]:
     return [*families, "edge_index"]
 
 
+@contextmanager
+def _rewrite(path, *args, **kwargs):
+    """Open ``path`` for writing as ``open(path, *args, **kwargs)`` with a
+    "w" or "wb" mode does, but without truncating it first: the writer
+    writes over the old bytes from offset 0, and the file is cut where
+    writing stopped, also when the writer raises. So a shorter file leaves
+    no stale tail, and a failed write leaves a prefix of the new file, as
+    under ``O_TRUNC``. Rewriting in place keeps the old file's blocks
+    instead of freeing and reallocating them, which costs more than the
+    write itself on filesystems that discard freed blocks. The file keeps
+    its inode, mode and hard links. A file that is not regular (a pipe, a
+    terminal, /dev/null) is not cut, as ``O_TRUNC`` leaves it too.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, *args, **kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _write_csv_table(path: Path, name: str, arr: np.ndarray,
                      features: FeatureSet) -> None:
     """A header, then each row's index column(s) and ``repr`` of each value;
@@ -218,7 +244,7 @@ def _write_csv_table(path: Path, name: str, arr: np.ndarray,
     rows = _array_rows(arr)
     edge = name.startswith("edge_")
     head = ["u", "v"] if edge else ["node"]
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _rewrite(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(head + [f"c{j}" for j in range(rows.shape[1])])
                  + "\r\n")
         for block in _blocks(rows.shape[0], rows.shape[1] + len(head)):
@@ -278,7 +304,7 @@ def _write_binary_array(path: Path, name: str, arr: np.ndarray,
     if features.manifest.get("rotation_seeds"):
         flags |= _FLAG_ROTATED
     rows = _array_rows(np.ascontiguousarray(arr, dtype="<f8"))
-    with path.open("wb") as fh:
+    with _rewrite(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", _BINARY_MAGIC, rows.shape[0],
                              rows.shape[1], flags))
         fh.write(rows)
@@ -338,13 +364,19 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
         binary: a directory with manifest.json, edge_index.bin and one packed
             array file per family (16-byte header: magic, rows, cols, flags;
             then row-major little-endian float64).
+
+    A file that already exists, such as one of an earlier export to the
+    same path, is rewritten in place and cut at its new end: it keeps its
+    inode, no byte of the older file is left after the new one, and a
+    write that fails leaves a prefix of the new file. Files of the older
+    export that the new one does not name are left as they are.
     """
     path = Path(path)
     if fmt == "json":
         if path.is_dir():
             path = path / "features.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
+        with _rewrite(path, "w") as fh:
             _write_json(fh, features)
         return [path]
     if fmt not in _TABLE_CODECS:
@@ -352,8 +384,8 @@ def export_features(features: FeatureSet, fmt: str, path: str | Path) -> list[Pa
     suffix, write, _ = _TABLE_CODECS[fmt]
     path.mkdir(parents=True, exist_ok=True)
     written = [path / "manifest.json"]
-    written[0].write_text(json.dumps(features.manifest, indent=2,
-                                     sort_keys=True) + "\n")
+    with _rewrite(written[0], "w") as fh:
+        fh.write(json.dumps(features.manifest, indent=2, sort_keys=True) + "\n")
     tables = features.family_arrays()
     names = _table_names(fmt, tables)
     # a csv edge index table is its u,v columns alone

@@ -84,24 +84,27 @@ def wl_refine(graph: Graph, initial_node_colors=None, edge_colors=None,
         raise ValueError(f"initial colors must have shape ({n},)")
     ec = np.zeros(m, np.int64) if edge_colors is None \
         else np.asarray(edge_colors)
-    if ec.shape == (m,):
-        ec = np.column_stack([ec, ec])
-    elif ec.shape != (m, 2):
+    if ec.shape not in ((m,), (m, 2)):
         raise ValueError(f"edge colors must have shape ({m},) or ({m}, 2)")
 
     colors = _canonical_ids(initial.tolist())
     limit = max_rounds if max_rounds is not None else max(n, 1)
     history = [colors]
+    # dense ids reach n - 1 only on a discrete partition, which no round can
+    # split, so round 1 would leave it unchanged: skip the incidence set-up
+    if limit >= 1 and colors.max(initial=-1) == n - 1:
+        return Coloring(node_colors=colors, history=history,
+                        rounds_to_stabilize=0)
     rounds_to_stabilize: int | None = None
     node = np.concatenate([graph.edge_u, graph.edge_v])
     nbr = np.concatenate([graph.edge_v, graph.edge_u])
-    edge_values, seen = np.unique(ec.T.ravel(), return_inverse=True)
+    edge_values, seen = np.unique(
+        ec.T.ravel() if ec.ndim == 2 else np.concatenate([ec, ec]),
+        return_inverse=True)
     # sorted by node, the incidences of u end at ends[u]
     ends = np.cumsum(np.bincount(node, minlength=n)).tolist()
 
     for round_no in range(1, limit + 1):
-        # dense ids reach n - 1 only on a discrete partition, which no round
-        # can split, so this round would leave it unchanged
         if colors.max(initial=-1) == n - 1:
             rounds_to_stabilize = round_no - 1
             break

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and flag-only solver settings."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,19 @@ def test_compute_into_an_existing_file_is_exit_2(tmp_path, capsys, fmt):
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1
     assert out.read_text() == "kept\n"
+
+
+def test_gen_rewrites_a_longer_file_in_place(tmp_path, capsys):
+    out = tmp_path / "graph.json"
+    assert main(["gen", "cycle", "--n", "40", "--out", str(out)]) == 0
+    inode, old_size = out.stat().st_ino, out.stat().st_size
+    assert main(["gen", "cycle", "--n", "5", "--out", str(out)]) == 0
+    assert main(["gen", "cycle", "--n", "5"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert out.stat().st_size < old_size
+    assert out.stat().st_ino == inode
+    # a device is written but not cut to length
+    assert main(["gen", "cycle", "--n", "5", "--out", os.devnull]) == 0
 
 
 def test_gen_onto_an_existing_directory_is_exit_2(tmp_path, capsys):

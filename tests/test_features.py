@@ -1,10 +1,15 @@
 """Feature assembly, serialization round-trips, and rotation replay."""
 
 import csv
+import errno
+import hashlib
 import io
 import json
+import os
 import tracemalloc
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,6 +637,105 @@ def test_broken_edge_index_names_the_file(fmt, fault, tmp_path):
         load_features(target, fmt)
     assert str(file) in str(info.value)
     assert repr(value) in str(info.value)
+
+
+def _larger_and_smaller_sets():
+    """Exact four-family sets of a 60-node and a 20-node graph: every table
+    of the second is shorter than the same table of the first."""
+    return [assemble_features(random_connected_graph(n, 3.0, (0.5, 2.0),
+                                                     seed=n), list(FAMILIES))
+            for n in (60, 20)]
+
+
+def _export_name(fmt):
+    # a json export is the one file named; the others fill a directory
+    return "features.json" if fmt == "json" else "export"
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv", "json"])
+def test_reexport_over_a_larger_export_equals_a_fresh_one(fmt, tmp_path):
+    larger, smaller = _larger_and_smaller_sets()
+    target = tmp_path / "rewritten" / _export_name(fmt)
+    links = tmp_path / "links"
+    links.mkdir()
+    old = {}
+    for file in export_features(larger, fmt, target):
+        os.link(file, links / file.name)
+        old[file.name] = file.stat()
+    written = export_features(smaller, fmt, target)
+    fresh = export_features(smaller, fmt, tmp_path / "fresh" / _export_name(fmt))
+    assert [file.name for file in written] == [file.name for file in fresh]
+    for file, oracle in zip(written, fresh):
+        blob = file.read_bytes()
+        assert hashlib.sha256(blob).digest() \
+            == hashlib.sha256(oracle.read_bytes()).digest(), file.name
+        if file.name != "manifest.json":
+            # the older table reached past the new end, so a tail would show
+            assert old[file.name].st_size > len(blob), file.name
+        assert file.stat().st_ino == old[file.name].st_ino, file.name
+        assert (links / file.name).read_bytes() == blob, file.name
+    loaded = load_features(target, fmt)
+    assert np.array_equal(loaded.edge_index, smaller.edge_index)
+    for name in FAMILIES:
+        assert np.allclose(getattr(loaded, name), getattr(smaller, name),
+                           rtol=1e-15, atol=0), name
+
+
+class _DiskFull:
+    """Stands in for an open export file: it takes ``budget`` more bytes
+    (characters, in text mode) and then fails as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        chunk = data if isinstance(data, str) else memoryview(data).cast("B")
+        taken = chunk[:self.budget]
+        self.fh.write(taken)
+        self.budget -= len(taken)
+        if len(taken) < len(chunk):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(chunk)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv", "json"])
+def test_failed_reexport_leaves_a_prefix_of_the_new_file(fmt, tmp_path,
+                                                          monkeypatch):
+    larger, smaller = _larger_and_smaller_sets()
+    victim = {"binary": "node_embedding.bin", "csv": "node_embedding.csv",
+              "json": "features.json"}[fmt]
+    fresh = next(file for file in export_features(
+        smaller, fmt, tmp_path / "fresh" / _export_name(fmt))
+        if file.name == victim).read_bytes()
+    budget = len(fresh) // 2
+    target = tmp_path / "rewritten" / _export_name(fmt)
+    old = next(file for file in export_features(larger, fmt, target)
+               if file.name == victim).stat()
+    assert old.st_size > budget
+    rewrite = features._rewrite
+
+    @contextmanager
+    def full_disk(path, *args, **kwargs):
+        with rewrite(path, *args, **kwargs) as fh:
+            yield _DiskFull(fh, budget) if Path(path).name == victim else fh
+
+    monkeypatch.setattr(features, "_rewrite", full_disk)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        export_features(smaller, fmt, target)
+    file = target / victim if target.is_dir() else target
+    # only the bytes written before the failure; none of the older file's
+    assert file.read_bytes() == fresh[:budget]
+    assert file.stat().st_ino == old.st_ino
+
+
+def test_export_to_a_file_that_is_not_regular():
+    # a device cannot be cut to length, and O_TRUNC leaves one alone too
+    fs = assemble_features(_path3(), ["edge_er"])
+    assert export_features(fs, "json", os.devnull) == [Path(os.devnull)]
 
 
 def test_binary_header_and_determinism(tmp_path):

@@ -37,6 +37,22 @@ def test_all_distinct_initial_colors_stable_immediately():
     assert np.array_equal(coloring.history[0], coloring.node_colors)
 
 
+def test_discrete_start_with_edge_colors_is_stable_and_still_validated():
+    g = build_cycle(5)
+    start = np.array([4, 0, 3, 1, 2])
+    flat = np.array([0, 1, 0, 1, 2])
+    for edge_colors in (flat, np.column_stack([flat, flat[::-1]])):
+        coloring = wl_refine(g, start, edge_colors)
+        assert [c.tolist() for c in coloring.history] == [[0, 1, 2, 3, 4]]
+        assert coloring.rounds_to_stabilize == 0
+        # no round may run, so the cap is hit before stability is seen
+        assert wl_refine(g, start, edge_colors,
+                         max_rounds=0).rounds_to_stabilize is None
+    for bad in (np.zeros(4), np.zeros((5, 3)), np.zeros((2, 5))):
+        with pytest.raises(ValueError, match="edge colors must have shape"):
+            wl_refine(g, start, bad)
+
+
 def test_initial_colors_are_canonicalized():
     g = build_path(3)
     coloring = wl_refine(g, initial_node_colors=np.array([7, 7, 3]))
