@@ -32,7 +32,7 @@ from .graph import (CrossComponentError, Graph, GraphInputError,
                     graph_to_json_dict, load_graph)
 from .oracle import (build_cycle, build_path, counterexample_pair,
                      random_connected_graph, witness_graph)
-from .solvers import SolverConfig, SolverConvergenceError, _solve_route
+from .solvers import SolverConfig, SolverConvergenceError, _plan
 from .suites import SUITE_NAMES, run_suites
 from .wl import expressivity_report
 
@@ -285,7 +285,7 @@ def _cmd_bench(args) -> int:
         "num_edges": graph.num_edges,
         "epsilon": args.epsilon,
         "sketch_dim": embedding.dim,
-        "route": _solve_route(graph),
+        "route": _plan(graph, solve=True).route,
         "build_seconds": round(build_time, 3),
         "sketch_seconds": round(sketch_time, 3),
     }

@@ -33,7 +33,7 @@ from .embeddings import (JL_CONSTANT, PROJECTION, _blocks, exact_embedding,
                          random_rotation, sketched_embedding)
 from .graph import Graph, GraphInputError
 from .measures import _closed_form
-from .solvers import SolverConfig, _solve_route, dense_pseudoinverse
+from .solvers import SolverConfig, _plan, dense_pseudoinverse
 
 FAMILIES = ("edge_er", "edge_ht", "node_embedding", "edge_embedding")
 
@@ -138,8 +138,8 @@ def assemble_features(graph: Graph, families, epsilon: float | None = None,
         "projection": None if epsilon is None else PROJECTION,
         "edge_embedding_convention": "row = embedding[u] - embedding[v]",
         # the route the sketch's solves took, then the solver settings
-        "solver": {"route": None if epsilon is None else _solve_route(graph),
-                   **asdict(config)},
+        "solver": {"route": None if epsilon is None
+                   else _plan(graph, solve=True).route, **asdict(config)},
         "rotation_seeds": [],
     }
     return FeatureSet(

@@ -8,18 +8,25 @@ of its two routes, once, before anything is factored:
   molecules), and graphs whose reverse Cuthill-McKee envelope profile is at
   most n ** :data:`DIRECT_PROFILE_EXPONENT` (paths, grids: little fill),
   solve with a sparse LU of the grounded Laplacian (the lowest node of each
-  component removed), factored once per graph and cached;
+  component removed);
 - all others (graphs holding a large expander, whose factor fills in
   densely) run block preconditioned conjugate gradient (Jacobi
-  preconditioner) against the sparse Laplacian
-  :func:`~affinity.graph.build_graph` stores on the graph, as
-  mixed-precision iterative refinement (:func:`_refined_pcg`): rounds of
-  float32 PCG to :data:`_ROUND_TOLERANCE`, each closed by a float64
-  correction and a float64 true residual, with float64 rounds once a float32
-  round stalls (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).
+  preconditioner) against the sparse Laplacian, as mixed-precision
+  iterative refinement (:func:`_refined_pcg`): rounds of float32 PCG to
+  :data:`_ROUND_TOLERANCE`, each closed by a float64 correction and a
+  float64 true residual, with float64 rounds once a float32 round stalls
+  (Carson and Higham, SIAM J. Sci. Comput. 40, 2018).
 
 Exact paths read :func:`dense_pseudoinverse`, the same grounded Laplacian's
 inverse; both refuse an ill-conditioned one (:func:`_check_conditioning`).
+
+All that is kept per graph is one plan (:func:`_plan`) in :data:`_PLANS`,
+weakly keyed by the graph: the component indicator, built with the plan; the
+read-only L+, on the first exact read; the route and its parts (the kept
+nodes and SuperLU factor, or the float32 Laplacian and Jacobi inverse), on
+the first solve. Nothing in it changes a result: a float32 round that stalls
+in one solve is tried again in the next, and a graph that
+:func:`_check_conditioning` refuses is refused by every solve.
 
 A right-hand side column holding NaN or inf is refused before either route
 runs; both routes end when each column's true residual meets
@@ -38,16 +45,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .graph import Graph, _is_int
-
-_PINV_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = \
-    weakref.WeakKeyDictionary()
-#: Per graph: None for the PCG route, else (kept nodes, SuperLU factor of the
-#: Laplacian restricted to them).
-_FACTOR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple | None]" = \
-    weakref.WeakKeyDictionary()
-#: Per graph: the (components x n) CSC indicator of component membership.
-_INDICATOR_CACHE: "weakref.WeakKeyDictionary[Graph, sparse.csc_matrix]" = \
-    weakref.WeakKeyDictionary()
 
 #: Largest 1-norm condition number of the grounded Laplacian that either
 #: direct path accepts; weights 10^U(-6, 6) stay under 2e12.
@@ -122,15 +119,26 @@ class SolverConfig:
             object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
     def iteration_cap(self, n: int) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return int(10 * math.sqrt(max(n, 1))) + 200
+        return self.max_iterations or int(10 * math.sqrt(max(n, 1))) + 200
+
+
+@dataclass(eq=False)
+class _Plan:
+    """One graph's slots (module docstring), each None until built. It must
+    not reference the graph, or the value would keep its weak key alive."""
+
+    indicator: sparse.csc_matrix
+    pinv: np.ndarray | None = None
+    route: str | None = None
+    parts: tuple | None = None
+
+
+_PLANS: "weakref.WeakKeyDictionary[Graph, _Plan]" = weakref.WeakKeyDictionary()
 
 
 def laplacian_csr(graph: Graph) -> sparse.csr_matrix:
     """Sparse CSR Laplacian L = D - A that :func:`~affinity.graph.build_graph`
-    stored on the graph; its arrays are read-only, since every caller shares
-    them."""
+    stored on the graph; read-only, since every caller shares it."""
     return graph.laplacian
 
 
@@ -143,17 +151,11 @@ def _component_sums(graph: Graph, mat: np.ndarray,
                     weights: np.ndarray | None = None) -> np.ndarray:
     """Per-component sums of the rows of mat, each row times its node's
     weight if weights are given, summed in node order by one product with
-    the graph's cached (components x n) sparse indicator."""
-    indicator = _INDICATOR_CACHE.get(graph)
-    if indicator is None:
-        n = graph.num_nodes
-        indicator = sparse.csc_matrix(
-            (np.ones(n), graph.component_of, np.arange(n + 1)),
-            shape=(graph.num_components, n))
-        _INDICATOR_CACHE[graph] = indicator
+    the plan's (components x n) sparse indicator."""
     # a unit entry times a weighted row is the weighted row: same bits as
     # weights stored in the indicator
-    return indicator @ (mat if weights is None else weights[:, None] * mat)
+    return _plan(graph).indicator @ (mat if weights is None
+                                     else weights[:, None] * mat)
 
 
 def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
@@ -199,8 +201,8 @@ def _check_conditioning(graph: Graph, grounded, inverse_ones: np.ndarray):
 
 
 def dense_pseudoinverse(graph: Graph) -> np.ndarray:
-    """Pseudoinverse of the Laplacian, an (n, n) symmetric array cached per
-    graph instance and read-only, since every caller shares it.
+    """Pseudoinverse of the Laplacian, an (n, n) symmetric array kept in
+    the graph's plan and read-only, since every caller shares it.
 
     L+ = P [L_g^-1 0; 0 0] P, where L_g is the Laplacian without each
     component's lowest node and P removes each component's mean, from the
@@ -214,9 +216,9 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     if n > EXACT_NODE_CAP:
         raise ValueError(f"exact computation capped at {EXACT_NODE_CAP} nodes "
                          f"(graph has {n}); pass epsilon to sketch instead")
-    cached = _PINV_CACHE.get(graph)
-    if cached is not None:
-        return cached
+    plan = _plan(graph)
+    if plan.pinv is not None:
+        return plan.pinv
     keep = _kept_nodes(graph)
     grounded = dense_laplacian(graph)[keep][:, keep]
     try:
@@ -229,15 +231,14 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
     pinv = project_out_nullspace(graph, project_out_nullspace(graph, pinv).T)
     pinv = 0.5 * (pinv + pinv.T)
     pinv.setflags(write=False)
-    _PINV_CACHE[graph] = pinv
+    plan.pinv = pinv
     return pinv
 
 
 def _convergence_error(route: str, rel_tolerance: float, resid: np.ndarray,
                        bnorm: np.ndarray) -> SolverConvergenceError | None:
     """The error listing every column whose residual is not within
-    rel_tolerance times its right-hand side's norm, or None if there is
-    none."""
+    rel_tolerance times its right-hand side's norm, or None."""
     failed = np.flatnonzero(~(resid <= rel_tolerance * bnorm))
     if not failed.size:
         return None
@@ -312,8 +313,8 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
         rz = rz_new
 
 
-def _refined_pcg(graph: Graph, b: np.ndarray,
-                 config: SolverConfig) -> np.ndarray:
+def _refined_pcg(graph: Graph, lap32: sparse.csr_matrix, d_inv: np.ndarray,
+                 b: np.ndarray, config: SolverConfig) -> np.ndarray:
     """The PCG route: solve L x = b, for b of shape (n, k >= 2) in the range
     of L, by rounds of :func:`pcg` on the residual, each closed in float64.
 
@@ -321,7 +322,7 @@ def _refined_pcg(graph: Graph, b: np.ndarray,
     norm (the others are zero and freeze at once); then x + dx is projected
     onto the range of L and r = b - L x is recomputed in float64. The loop
     ends when every column's true residual meets ``config.rel_tolerance``.
-    Rounds run in float32, against a float32 copy of L, to
+    Rounds run in float32, against the plan's float32 copy lap32 of L, to
     :data:`_ROUND_TOLERANCE`. A float32 round that does not get there within
     :data:`_FLOAT32_SHARE` of the iteration cap, or that fails to halve some
     still-active column's true residual, is discarded, and the remaining
@@ -330,8 +331,6 @@ def _refined_pcg(graph: Graph, b: np.ndarray,
     included; a miss lists the columns by their true residuals.
     """
     lap = laplacian_csr(graph)
-    lap32 = lap.astype(np.float32)
-    d_inv = 1.0 / np.where(graph.degrees > 0, graph.degrees, 1.0)
     cap = config.iteration_cap(graph.num_nodes)
     round_cap = int(_FLOAT32_SHARE * cap)
     bnorm = np.linalg.norm(b, axis=0)
@@ -374,47 +373,48 @@ def _refined_pcg(graph: Graph, b: np.ndarray,
         x, r, resid = x_new, r_new, resid_new
 
 
-def _rcm_profile(lap: sparse.csr_matrix) -> int:
-    """Envelope profile sum_i (i - first column of row i) of lap under its
-    reverse Cuthill-McKee ordering; it bounds the fill of an LU factor."""
-    n = lap.shape[0]
-    order = reverse_cuthill_mckee(lap, symmetric_mode=True)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    # every row holds its diagonal entry, so no row segment is empty
-    first = np.minimum.reduceat(position[lap.indices], lap.indptr[:-1])
-    return int((position - first).sum())
-
-
-def _grounded_factor(graph: Graph):
-    """The graph's sparse LU route, decided and factored once per graph:
-    (kept nodes, SuperLU factor of the Laplacian restricted to them), with
-    the lowest node of every component grounded (removed), when every
-    component has under :data:`SMALL_COMPONENT_NODES` nodes or the profile
-    predicts little fill; else None. One more solve reads L_g^-1 1."""
-    if graph in _FACTOR_CACHE:
-        return _FACTOR_CACHE[graph]
+def _takes_sparse_lu(graph: Graph) -> bool:
+    """The route rule of :data:`SMALL_COMPONENT_NODES` and
+    :data:`DIRECT_PROFILE_EXPONENT`: True for sparse LU, False for PCG."""
+    n = graph.num_nodes
+    if np.bincount(graph.component_of).max(initial=0) < SMALL_COMPONENT_NODES:
+        return True
+    # the envelope profile sum_i (i - first column of row i) of L in reverse
+    # Cuthill-McKee order bounds LU fill; each row holds its diagonal entry,
+    # so no reduceat segment is empty
     lap = laplacian_csr(graph)
-    factor = None
-    if (np.bincount(graph.component_of).max(initial=0) < SMALL_COMPONENT_NODES
-            or _rcm_profile(lap) <= graph.num_nodes ** DIRECT_PROFILE_EXPONENT):
-        keep = _kept_nodes(graph)
-        grounded = lap[keep][:, keep].tocsc()
-        try:
-            lu = splu(grounded, permc_spec="MMD_AT_PLUS_A")
-            inverse_ones = lu.solve(np.ones(keep.size))
-        except RuntimeError:  # "Factor is exactly singular"
-            inverse_ones = np.full(keep.size, np.inf)
-        _check_conditioning(graph, grounded, inverse_ones)
-        factor = (keep, lu)
-    _FACTOR_CACHE[graph] = factor
-    return factor
+    position = np.empty(n, dtype=np.int64)
+    position[reverse_cuthill_mckee(lap, symmetric_mode=True)] = np.arange(n)
+    first = np.minimum.reduceat(position[lap.indices], lap.indptr[:-1])
+    return int((position - first).sum()) <= n ** DIRECT_PROFILE_EXPONENT
 
 
-def _solve_route(graph: Graph) -> str:
-    """The route :func:`solve_laplacian` takes for the graph: "sparse LU"
-    when :func:`_grounded_factor` factors the graph, else "PCG"."""
-    return "PCG" if _grounded_factor(graph) is None else "sparse LU"
+def _plan(graph: Graph, solve: bool = False) -> _Plan:
+    """The graph's plan, made with its indicator on first use; with solve,
+    its route and parts too, unless :func:`_check_conditioning` refuses the
+    grounded factor (each component's lowest node removed)."""
+    plan = _PLANS.get(graph)
+    if plan is None:
+        n = graph.num_nodes
+        plan = _PLANS[graph] = _Plan(sparse.csc_matrix(
+            (np.ones(n), graph.component_of, np.arange(n + 1)),
+            shape=(graph.num_components, n)))
+    if solve and plan.route is None:
+        lap = laplacian_csr(graph)
+        if _takes_sparse_lu(graph):
+            keep = _kept_nodes(graph)
+            grounded = lap[keep][:, keep].tocsc()
+            try:
+                lu = splu(grounded, permc_spec="MMD_AT_PLUS_A")
+                inverse_ones = lu.solve(np.ones(keep.size))
+            except RuntimeError:  # "Factor is exactly singular"
+                inverse_ones = np.full(keep.size, np.inf)
+            _check_conditioning(graph, grounded, inverse_ones)
+            plan.parts, plan.route = (keep, lu), "sparse LU"
+        else:
+            plan.parts, plan.route = (lap.astype(np.float32), 1.0 / np.where(
+                graph.degrees > 0, graph.degrees, 1.0)), "PCG"
+    return plan
 
 
 def solve_laplacian(graph: Graph, b: np.ndarray,
@@ -447,22 +447,21 @@ def solve_laplacian(graph: Graph, b: np.ndarray,
             f"first at column {int(bad[0])}",
             residuals=np.full(bad.size, np.nan), columns=bad)
     projected = project_out_nullspace(graph, mat)
-    factor = _grounded_factor(graph)
-    if factor is None:
+    plan = _plan(graph, solve=True)
+    if plan.route == "PCG":
         k = projected.shape[1]
         # a lone column runs beside a zero one, so it takes the batched
         # kernels and matches its own column in any batch bit for bit
         if k == 1:
             projected = np.column_stack([projected, np.zeros(graph.num_nodes)])
-        x = _refined_pcg(graph, projected, config)[:, :k]
+        x = _refined_pcg(graph, *plan.parts, projected, config)[:, :k]
         return x[:, 0] if single else x
-    keep, lu = factor
+    keep, lu = plan.parts
     x = np.zeros_like(projected)
     x[keep] = lu.solve(projected[keep])
     x = project_out_nullspace(graph, x)
-    error = _convergence_error("sparse LU", config.rel_tolerance,
-                               np.linalg.norm(laplacian_csr(graph) @ x
-                                              - projected, axis=0),
+    resid = np.linalg.norm(laplacian_csr(graph) @ x - projected, axis=0)
+    error = _convergence_error("sparse LU", config.rel_tolerance, resid,
                                np.linalg.norm(projected, axis=0))
     if error is not None:
         raise error

@@ -8,6 +8,8 @@ and on paths and grids.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,11 @@ def corpus_small():
 def pcg_route(monkeypatch):
     """Call the returned switch to send every later ``solve_laplacian`` call
     of the test down the block-PCG route, whatever the graph's size and
-    shape: the sparse LU route is turned off."""
+    shape: the route rule refuses the sparse LU route, and the solver starts
+    from fresh plans, so a graph planned before the switch (a session
+    corpus graph, say) is planned again under the patched rule. The old
+    plans come back when the test ends."""
     def switch():
-        monkeypatch.setattr(solvers, "_grounded_factor", lambda graph: None)
+        monkeypatch.setattr(solvers, "_PLANS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(solvers, "_takes_sparse_lu", lambda graph: False)
     return switch

@@ -412,13 +412,13 @@ def test_identical_runs_produce_identical_bytes(route, tmp_path):
         g = af.build_graph(joined.num_nodes + 1, np.column_stack(
             [joined.edge_u, joined.edge_v, joined.edge_w]))
         assert g.num_nodes >= SMALL_COMPONENT_NODES and g.num_components == 3
-        assert af.solvers._grounded_factor(g) is None
+        assert af.solvers._plan(g, solve=True).route == "PCG"
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
     else:
         g = build_grid(30, 30)
         assert g.num_nodes >= SMALL_COMPONENT_NODES
-        assert af.solvers._grounded_factor(g) is not None
+        assert af.solvers._plan(g, solve=True).route == "sparse LU"
         graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
         epsilon = "0.5"
 
@@ -458,13 +458,13 @@ def test_sparse_route_exports_do_not_depend_on_blas_threads(route, tmp_path):
     graph take the sparse LU route."""
     if route == "pcg":
         g = af.random_connected_graph(600, 6.0, (0.5, 2.0), seed=9)
-        assert af.solvers._solve_route(g) == "PCG"
+        assert af.solvers._plan(g, solve=True).route == "PCG"
     elif route == "small":
         g = af.random_connected_graph(300, 6.0, (0.5, 2.0), seed=9)
-        assert af.solvers._solve_route(g) == "sparse LU"
+        assert af.solvers._plan(g, solve=True).route == "sparse LU"
     else:
         g = af.build_path(1000)
-        assert af.solvers._solve_route(g) == "sparse LU"
+        assert af.solvers._plan(g, solve=True).route == "sparse LU"
     graph_path = tmp_path / "graph.json"
     graph_path.write_text(json.dumps(af.graph_to_json_dict(g)))
     outputs = []

@@ -270,7 +270,7 @@ def test_hitting_time_exact_pcg_path_matches_grounded_oracle(pcg_route):
     g = parts[0]
     for part in parts[1:]:
         g, _ = disjoint_union(g, part)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     grounded = grounded_hitting_times(g)
     for target in (3, 200, 517):
         got = hitting_time_exact(g, target)

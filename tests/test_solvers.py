@@ -2,6 +2,8 @@
 condition test, and the two solve routes, sparse LU and PCG."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -233,7 +235,7 @@ def test_pseudoinverse_cap():
 
 def test_small_graph_solve_matches_pinv():
     g = random_connected_graph(30, 3.0, (0.5, 2.0), seed=2)
-    assert solvers._solve_route(g) == "sparse LU"
+    assert solvers._plan(g, solve=True).route == "sparse LU"
     rng = np.random.default_rng(3)
     b = rng.standard_normal(30)
     x = solve_laplacian(g, b)
@@ -245,7 +247,7 @@ def test_edgeless_graph_solves_to_zero():
     # every node is its own component's grounded node: an empty factor
     for n in (5, 600):
         g = build_graph(n, [])
-        assert solvers._solve_route(g) == "sparse LU"
+        assert solvers._plan(g, solve=True).route == "sparse LU"
         b = np.random.default_rng(n).standard_normal((n, 3))
         assert np.array_equal(solve_laplacian(g, b), np.zeros((n, 3)))
         assert effective_resistance(g, 2, 2) == 0.0
@@ -253,13 +255,19 @@ def test_edgeless_graph_solves_to_zero():
         assert h[2] == 0.0 and np.isinf(np.delete(h, 2)).all()
 
 
-def test_solve_iterative_agrees_with_dense(corpus_small, pcg_route):
+def test_solve_iterative_agrees_with_dense(corpus_small, pcg_route,
+                                           monkeypatch):
+    # the session corpus is planned by earlier tests; the switch must still
+    # send it down PCG, or this compares the LU route with L+
     pcg_route()
+    calls = _recording_pcg(monkeypatch)
     rng = np.random.default_rng(4)
     for g in corpus_small[:10]:
         b = rng.standard_normal((g.num_nodes, 2))
         xd = dense_pseudoinverse(g) @ project_out_nullspace(g, b)
+        calls.clear()
         xi = solve_laplacian(g, b)
+        assert calls and solvers._plan(g).route == "PCG"
         assert np.max(np.abs(xd - xi)) <= 1e-7
 
 
@@ -270,7 +278,7 @@ def test_solve_residual_meets_tolerance(pcg_route):
     rng = np.random.default_rng(8)
     b = project_out_nullspace(g, rng.standard_normal(300))
     x = solve_laplacian(g, b, cfg)
-    residual = np.linalg.norm(laplacian_csr(g) @ x - b)
+    residual = np.linalg.norm(_laplacian_from_edges(g) @ x - b)
     assert residual <= 1e-10 * np.linalg.norm(b)
 
 
@@ -300,7 +308,7 @@ def test_graph_size_picks_the_solve_route(monkeypatch):
     size = solvers.SMALL_COMPONENT_NODES
     for n, route in ((size - 1, "sparse LU"), (size, "PCG")):
         g = random_connected_graph(n, 4.0, seed=15)
-        assert solvers._solve_route(g) == route
+        assert solvers._plan(g, solve=True).route == route
         b = project_out_nullspace(g, rng.standard_normal(n))
         for cfg in (None, SolverConfig(rel_tolerance=0.5),
                     SolverConfig(max_iterations=5000)):
@@ -381,7 +389,7 @@ def test_non_finite_rhs_is_refused_before_any_route(route, pcg_route):
     g = build_path(40) if route == "small" else build_grid(30, 30)
     if route == "pcg":
         pcg_route()
-    assert solvers._solve_route(g) == \
+    assert solvers._plan(g, solve=True).route == \
         ("PCG" if route == "pcg" else "sparse LU")
     b = np.random.default_rng(3).standard_normal((g.num_nodes, 4))
     b[5, 0] = np.nan
@@ -458,7 +466,7 @@ def test_grids_solve_to_tolerance_under_defaults(name):
         g = _with_isolated_node(
             random_connected_graph(600, 6.0, (0.5, 2.0), seed=20),
             random_connected_graph(250, 4.0, seed=21))
-        assert solvers._grounded_factor(g) is None
+        assert solvers._plan(g, solve=True).route == "PCG"
     b = np.random.default_rng(17).standard_normal((g.num_nodes, 3))
     x = solve_laplacian(g, b)
     lap = _laplacian_from_edges(g)
@@ -481,16 +489,17 @@ def _union(*graphs):
     return union
 
 
-def test_union_of_small_components_takes_the_sparse_lu_route():
+def test_union_of_small_components_takes_the_sparse_lu_route(monkeypatch):
     # every component is under SMALL_COMPONENT_NODES, so the union factors
     # cheaply although its profile is far above n ** DIRECT_PROFILE_EXPONENT
     parts = [random_connected_graph(500, 8.0, (0.5, 2.0), seed=30 + i)
              for i in range(4)]
     g = _union(*parts)
     assert g.num_components == 4
-    assert solvers._rcm_profile(laplacian_csr(g)) \
-        > g.num_nodes ** solvers.DIRECT_PROFILE_EXPONENT
-    assert solvers._solve_route(g) == "sparse LU"
+    with monkeypatch.context() as profile_rule_alone:
+        profile_rule_alone.setattr(solvers, "SMALL_COMPONENT_NODES", 0)
+        assert not solvers._takes_sparse_lu(g)
+    assert solvers._plan(g, solve=True).route == "sparse LU"
     # L+ of a union is block diagonal: one SVD pseudoinverse per part
     offsets = np.cumsum([0] + [p.num_nodes for p in parts])
     pinv = np.zeros((g.num_nodes, g.num_nodes))
@@ -514,7 +523,7 @@ def test_a_wide_component_of_dense_solve_nodes_keeps_pcg(with_small_parts):
     if with_small_parts:
         g = _union(random_connected_graph(300, 4.0, seed=36), g,
                    random_connected_graph(100, 4.0, seed=37))
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     manifest = assemble_features(g, ["edge_er"], epsilon=0.5, seed=1).manifest
     assert manifest["solver"]["route"] == "PCG"
 
@@ -593,7 +602,7 @@ def _assert_solves_to_tolerance(g, b, x):
 
 def test_pcg_route_runs_float32_rounds_closed_in_float64(monkeypatch):
     g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=20)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     calls = _recording_pcg(monkeypatch)
     b = np.random.default_rng(21).standard_normal((600, 6))
     x = solve_laplacian(g, b)
@@ -604,7 +613,7 @@ def test_pcg_route_runs_float32_rounds_closed_in_float64(monkeypatch):
 
 def test_single_column_pcg_solve_is_bitwise_its_batched_column():
     g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=22)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     block = np.random.default_rng(23).standard_normal((600, 9))
     batched = solve_laplacian(g, block)
     for j in range(9):
@@ -617,7 +626,7 @@ def test_single_column_pcg_solve_is_bitwise_its_batched_column():
 
 def test_sketch_rows_do_not_depend_on_chunk_size(monkeypatch):
     g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=24)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     rows = {}
     for chunk in (7, 64, 128):
         monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
@@ -627,11 +636,59 @@ def test_sketch_rows_do_not_depend_on_chunk_size(monkeypatch):
     assert np.array_equal(rows[64], rows[128])
 
 
+def test_a_sketch_builds_its_float32_operator_and_preconditioner_once(
+        monkeypatch):
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=24)
+    reference = sketched_embedding(g, 0.5, seed=4).vectors
+    seen = []
+    real = solvers.pcg
+
+    def keeping(matvec, precond_diag_inv, rhs, rel_tolerance,
+                max_iterations):
+        seen.append(precond_diag_inv)
+        return real(matvec, precond_diag_inv, rhs, rel_tolerance,
+                    max_iterations)
+
+    monkeypatch.setattr(solvers, "pcg", keeping)
+    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 40)
+    assert reference.shape[1] > 3 * 40
+    for _ in range(2):
+        rows = sketched_embedding(g, 0.5, seed=4).vectors
+        assert np.array_equal(rows, reference)
+    # at least one float32 round per chunk, in each of the two sketches
+    assert len(seen) >= 2 * 4
+    assert all(array is seen[0] for array in seen)
+    plan = solvers._plan(g)
+    assert plan.route == "PCG" and plan.parts[1] is seen[0]
+    assert plan.parts[0].dtype == np.float32
+
+
+def test_a_graph_is_released_once_its_last_reference_goes():
+    # a plan that referenced its graph would keep its own weak key alive
+    graphs = [random_connected_graph(300, 4.0, (0.5, 2.0), seed=16),
+              random_connected_graph(600, 6.0, (0.5, 2.0), seed=18)]
+    routes = []
+    for g in graphs:
+        fs = assemble_features(g, ["edge_er", "node_embedding"], epsilon=0.5,
+                               seed=1)
+        routes.append(fs.manifest["solver"]["route"])
+        assemble_features(g, ["edge_er", "edge_ht", "node_embedding"])
+        effective_resistance(g, 0, 7)
+        hitting_time_exact(g, 7)
+    assert routes == ["sparse LU", "PCG"]
+    graph_refs = [weakref.ref(g) for g in graphs]
+    plan_refs = [weakref.ref(solvers._PLANS[g]) for g in graphs]
+    assert all(ref().pinv is not None for ref in plan_refs)
+    del graphs, g
+    gc.collect()
+    assert [ref() for ref in graph_refs + plan_refs] == [None] * 4
+
+
 def test_a_stalled_float32_round_falls_back_to_float64(monkeypatch):
     # weights over eight decades: a float32 round cannot reach its target
     # within a tenth of the cap, so float64 takes over and meets tolerance
     g = _spread_graph(600, 4, 61, avg_degree=10.0)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     calls = _recording_pcg(monkeypatch)
     b = np.random.default_rng(62).standard_normal((600, 4))
     x = solve_laplacian(g, b)
@@ -690,7 +747,7 @@ def test_weights_over_ten_decades_solve_under_default_settings(monkeypatch):
     # 10^U(-5, 5): float64 PCG needs about 440 of its 907 iterations, and
     # the float32 round that stalls first spends at most a tenth of them
     g = _spread_graph(5000, 5, 2, avg_degree=10.0, weight_seed=7)
-    assert solvers._solve_route(g) == "PCG"
+    assert solvers._plan(g, solve=True).route == "PCG"
     calls = _recording_pcg(monkeypatch)
     b = np.random.default_rng(8).standard_normal((5000, 16))
     x = solve_laplacian(g, b)
