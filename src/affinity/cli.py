@@ -8,11 +8,11 @@ Subcommands:
     bench              time a sketched embedding on a random graph
 
 Exit codes: 0 success, 1 verification failure, 2 input error (an
-unreadable input or an unwritable output path included), 3 solver
-failure. The solver settings of compute and bench are flags only (--tol,
---max-iter), so no environment variable of the package changes a run; the
-graph's component sizes and envelope profile pick the solve route, sparse LU
-or PCG, which bench reports.
+unreadable input, an unwritable output path or a size the machine cannot
+hold included), 3 solver failure. The solver settings of compute and bench
+are flags only (--tol, --max-iter), so no environment variable of the
+package changes a run; the graph's component sizes and envelope profile
+pick the solve route, sparse LU or PCG, which bench reports.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         default=SolverConfig().rel_tolerance,
                         help="relative solver tolerance (default %(default)s)")
     parser.add_argument("--max-iter", type=int, default=None,
-                        help="PCG iteration cap (default 10*sqrt(n)+200)")
+                        help="PCG cap per chunk (default 10*sqrt(n)+200)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (GraphInputError, CrossComponentError, FileNotFoundError,
-            ValueError) as exc:
+            ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except SolverConvergenceError as exc:

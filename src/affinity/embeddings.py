@@ -29,8 +29,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .graph import Graph, _is_int
-from .solvers import (SolverConfig, SolverConvergenceError, dense_pseudoinverse,
-                      solve_laplacian)
+from .solvers import SolverConfig, dense_pseudoinverse, solve_laplacian
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,6 @@ def exact_embedding(graph: Graph) -> ResistiveEmbedding:
 #: Name of the sketch's projection, recorded in the export manifest.
 PROJECTION = "rademacher-philox4x64"
 
-#: Sketch rows folded in and solved per batch.
-_CHUNK_ROWS = 128
-
 
 def _signs(key: np.ndarray, start: int, stop: int,
            num_edges: int) -> np.ndarray:
@@ -145,13 +141,13 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
     Row i is L+ B^T C^(1/2) q_i / sqrt(k) for m signs q_i read from one
     Philox4x64 stream keyed by ``SeedSequence(seed)`` (layout: :func:`_signs`);
     random +-1 projections keep the JL guarantee of Gaussian ones at the
-    same k (Achlioptas 2003). Each chunk of :data:`_CHUNK_ROWS` rows is
-    folded into the node space by one product with the sparse S = B^T
-    C^(1/2) / sqrt(k) (one per :data:`_BLOCK_ENTRIES` signs on large graphs)
-    and goes through one Laplacian solve, so a row's values depend on the
-    chunk size only through the solve's rounding. The solve tolerance is
-    tightened to min(config.rel_tolerance, epsilon / 10) so solver error
-    stays well under the sketch distortion.
+    same k (Achlioptas 2003). The rows are folded into the node space, as
+    the columns of the (n, k) output, by products with the sparse S = B^T
+    C^(1/2) / sqrt(k), one per :data:`_BLOCK_ENTRIES` signs, and solved in
+    place by one :func:`solve_laplacian` call, which chunks them and names a
+    failed row i as column i. The solve tolerance is tightened to
+    min(config.rel_tolerance, epsilon / 10) so solver error stays well under
+    the sketch distortion.
 
     Args:
         graph: input graph; must have at least one edge.
@@ -164,8 +160,7 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
         raise ValueError("sketched embedding needs at least one edge")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-    n = graph.num_nodes
-    m = graph.num_edges
+    n, m = graph.num_nodes, graph.num_edges
     k = jl_dimension(n, m, epsilon)  # validates epsilon too
     config = config or SolverConfig()
     solve_config = replace(config, rel_tolerance=min(config.rel_tolerance,
@@ -179,24 +174,9 @@ def sketched_embedding(graph: Graph, epsilon: float, seed: int,
          np.arange(0, 2 * m + 1, 2)), shape=(n, m))
 
     vectors = np.empty((n, k))
-    for start in range(0, k, _CHUNK_ROWS):
-        stop = min(k, start + _CHUNK_ROWS)
-        block = np.empty((n, stop - start))
-        for sub in _blocks(stop - start, m):
-            block[:, sub] = fold @ _signs(key, start + sub.start,
-                                          start + sub.stop, m)
-        try:
-            vectors[:, start:stop] = solve_laplacian(graph, block, solve_config)
-        except SolverConvergenceError as exc:
-            if exc.columns is None:  # the graph itself was refused
-                raise
-            rows = start + np.asarray(exc.columns)
-            worst = int(np.argmax(exc.residuals))
-            raise SolverConvergenceError(
-                f"{rows.size} of {k} sketch rows ({rows[0]}-{rows[-1]}) did "
-                f"not converge, worst at row {rows[worst]}: {exc}",
-                residuals=exc.residuals, columns=rows) from exc
-
+    for sub in _blocks(k, m):
+        vectors[:, sub] = fold @ _signs(key, sub.start, sub.stop, m)
+    solve_laplacian(graph, vectors, solve_config, out=vectors)
     return ResistiveEmbedding(vectors=vectors, kind="sketched",
                               epsilon=float(epsilon), seed=int(seed))
 

@@ -24,13 +24,14 @@ All that is kept per graph is one plan (:func:`_plan`) in :data:`_PLANS`,
 weakly keyed by the graph: the component indicator, built with the plan; the
 read-only L+, on the first exact read; the route and its parts (the kept
 nodes and SuperLU factor, or the float32 Laplacian and Jacobi inverse), on
-the first solve. Nothing in it changes a result: a float32 round that stalls
-in one solve is tried again in the next, and a graph that
+the first solve. Nothing in it changes a result, and a graph that
 :func:`_check_conditioning` refuses is refused by every solve.
 
 A right-hand side column holding NaN or inf is refused before either route
-runs; both routes end when each column's true residual meets
-:attr:`SolverConfig.rel_tolerance`, and PCG alone has an iteration cap.
+runs; the columns then go :data:`_CHUNK_COLUMNS` at a time, passing on only
+the call's float32 verdict (:func:`_refined_pcg`). A chunk ends when each
+column's true residual meets :attr:`SolverConfig.rel_tolerance`, and PCG
+alone has an iteration cap.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ DIRECT_PROFILE_EXPONENT = 1.5
 _ROUND_TOLERANCE = 1e-4
 #: Share of the PCG iteration cap that one float32 round may spend.
 _FLOAT32_SHARE = 0.1
+#: Right-hand-side columns that :func:`solve_laplacian` solves at a time.
+_CHUNK_COLUMNS = 128
 
 
 class SolverConvergenceError(RuntimeError):
@@ -100,9 +103,9 @@ class SolverConfig:
         rel_tolerance: both routes must reach the true residual
             ||L x - b|| <= rel_tolerance * ||b|| per column, computed in
             float64.
-        max_iterations: cap on the PCG iterations of all rounds of a solve
-            together; None means 10*sqrt(n) + 200. The sparse LU route does
-            not iterate and ignores it.
+        max_iterations: cap on the PCG iterations of all rounds of one
+            chunk (:data:`_CHUNK_COLUMNS` columns) together; None means
+            10*sqrt(n) + 200. The sparse LU route ignores it.
     """
 
     rel_tolerance: float = 1e-8
@@ -158,23 +161,27 @@ def _component_sums(graph: Graph, mat: np.ndarray,
                                      else weights[:, None] * mat)
 
 
+def _columns(graph: Graph, b) -> tuple[np.ndarray, np.ndarray]:
+    """b as float64, and as an (n, k) view; ValueError for other shapes."""
+    b = np.asarray(b, dtype=np.float64)
+    mat = b[:, None] if b.ndim == 1 else b
+    if mat.ndim != 2 or mat.shape[0] != graph.num_nodes:
+        raise ValueError(f"expected shape ({graph.num_nodes},) or "
+                         f"({graph.num_nodes}, k), got {b.shape}")
+    return b, mat
+
+
 def project_out_nullspace(graph: Graph, b: np.ndarray) -> np.ndarray:
     """Subtract the per-component mean from b, columnwise.
 
-    The Laplacian nullspace is spanned by the indicator vectors of the
-    connected components, so this makes b solvable. Accepts shape (n,) or
-    (n, k).
+    The Laplacian nullspace is spanned by the components' indicator
+    vectors, so this makes b solvable. Accepts shape (n,) or (n, k).
     """
-    b = np.asarray(b, dtype=np.float64)
-    single = b.ndim == 1
-    mat = b[:, None] if single else b
-    if mat.shape[0] != graph.num_nodes:
-        raise ValueError(f"expected leading dimension {graph.num_nodes}, "
-                         f"got {mat.shape[0]}")
+    b, mat = _columns(graph, b)
     counts = np.bincount(graph.component_of, minlength=graph.num_components)
     sums = _component_sums(graph, mat)
     out = mat - (sums / counts[:, None])[graph.component_of]
-    return out[:, 0] if single else out
+    return out.reshape(b.shape)
 
 
 def _kept_nodes(graph: Graph) -> np.ndarray:
@@ -236,17 +243,19 @@ def dense_pseudoinverse(graph: Graph) -> np.ndarray:
 
 
 def _convergence_error(route: str, rel_tolerance: float, resid: np.ndarray,
-                       bnorm: np.ndarray) -> SolverConvergenceError | None:
-    """The error listing every column whose residual is not within
-    rel_tolerance times its right-hand side's norm, or None."""
+                       bnorm: np.ndarray, first: int = 0
+                       ) -> SolverConvergenceError | None:
+    """The error listing every column (numbered from first) whose residual
+    is not within rel_tolerance times its right-hand side's norm, or None."""
     failed = np.flatnonzero(~(resid <= rel_tolerance * bnorm))
     if not failed.size:
         return None
     rel = resid[failed] / bnorm[failed]
     return SolverConvergenceError(
         f"{route} missed tolerance {rel_tolerance:g} on {failed.size} "
-        f"column(s); worst relative residual {float(rel.max()):.3e} at "
-        f"column {int(failed[np.argmax(rel)])}", residuals=rel, columns=failed)
+        f"column(s); worst relative residual {float(rel.max()):.3e} at column "
+        f"{first + int(failed[np.argmax(rel)])}", residuals=rel,
+        columns=first + failed)
 
 
 def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
@@ -314,33 +323,41 @@ def pcg(matvec, precond_diag_inv: np.ndarray, rhs: np.ndarray,
 
 
 def _refined_pcg(graph: Graph, lap32: sparse.csr_matrix, d_inv: np.ndarray,
-                 b: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """The PCG route: solve L x = b, for b of shape (n, k >= 2) in the range
-    of L, by rounds of :func:`pcg` on the residual, each closed in float64.
+                 b: np.ndarray, config: SolverConfig, low: bool,
+                 first: int) -> tuple[np.ndarray, bool]:
+    """The PCG route: solve L x = b, for b of shape (n, k) in the range of
+    L, by rounds of :func:`pcg` on the residual, each closed in float64.
 
     A round solves L dx = r for the active columns, each scaled to unit
     norm (the others are zero and freeze at once); then x + dx is projected
     onto the range of L and r = b - L x is recomputed in float64. The loop
     ends when every column's true residual meets ``config.rel_tolerance``.
-    Rounds run in float32, against the plan's float32 copy lap32 of L, to
-    :data:`_ROUND_TOLERANCE`. A float32 round that does not get there within
-    :data:`_FLOAT32_SHARE` of the iteration cap, or that fails to halve some
-    still-active column's true residual, is discarded, and the remaining
-    rounds run in float64 to the tolerance itself. ``config.max_iterations``
-    caps the iterations of all rounds together, a discarded round's
-    included; a miss lists the columns by their true residuals.
+    While low, rounds run in float32, against the plan's float32 copy lap32
+    of L, to :data:`_ROUND_TOLERANCE`. A float32 round that does not get
+    there within :data:`_FLOAT32_SHARE` of the iteration cap, or that fails
+    to halve some still-active column's true residual, is discarded (x is
+    left as it was), and the remaining rounds run in float64 to the
+    tolerance itself. ``config.max_iterations`` caps the iterations of all
+    rounds together, a discarded round's included; a miss lists the
+    columns, numbered from first, by their true residuals.
+
+    Returns x and low for the next chunk of the call: False once float32
+    was discarded before any round was accepted, which moves no bit.
     """
+    k = b.shape[1]
+    if k == 1:  # beside a zero column, a lone one takes the batched kernels
+        b = np.column_stack([b, np.zeros(graph.num_nodes)])
     lap = laplacian_csr(graph)
     cap = config.iteration_cap(graph.num_nodes)
     round_cap = int(_FLOAT32_SHARE * cap)
     bnorm = np.linalg.norm(b, axis=0)
     target = config.rel_tolerance * bnorm
     x, r, resid = np.zeros_like(b), b, bnorm
-    used, low = 0, True
+    used, accepted = 0, False
     while True:
         active = ~(resid <= target)
         if not active.any():
-            return x
+            return x[:, :k], low or accepted
         operator = lap32 if low else lap
         limit = min(cap - used, round_cap) if low else cap - used
         # unit columns keep float32 clear of overflow and underflow
@@ -355,8 +372,8 @@ def _refined_pcg(graph: Graph, lap32: sparse.csr_matrix, d_inv: np.ndarray,
         except SolverConvergenceError as exc:
             if not low:
                 raise _convergence_error(f"PCG after {cap} iterations",
-                                         config.rel_tolerance, resid,
-                                         bnorm) from exc
+                                         config.rel_tolerance, resid, bnorm,
+                                         first) from exc
             used, low = used + limit, False
             continue
         used += iterations
@@ -370,6 +387,7 @@ def _refined_pcg(graph: Graph, lap32: sparse.csr_matrix, d_inv: np.ndarray,
                                      <= np.maximum(0.5 * resid, target))):
             low = False
             continue
+        accepted = accepted or low
         x, r, resid = x_new, r_new, resid_new
 
 
@@ -418,51 +436,51 @@ def _plan(graph: Graph, solve: bool = False) -> _Plan:
 
 
 def solve_laplacian(graph: Graph, b: np.ndarray,
-                    config: SolverConfig | None = None) -> np.ndarray:
+                    config: SolverConfig | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Solve L x = b in the least-squares sense, for (n,) or (n, k) inputs.
 
-    The right-hand side is first projected onto the range of L (per-component
-    mean removed), and the graph picks the route, as the module docstring
-    lists. Either route's solution is projected onto the range of L, and
-    every column's true residual must meet ``config.rel_tolerance``;
-    ``config.max_iterations`` caps PCG only, all its rounds together.
+    Each chunk of :data:`_CHUNK_COLUMNS` columns is projected onto the range
+    of L (per-component mean removed), solved on the graph's route (module
+    docstring), and its solution projected too; every column's true residual
+    must meet ``config.rel_tolerance``, and ``config.max_iterations`` caps
+    the PCG rounds of a chunk. ``out``, a float64 array of b's shape that may
+    be b itself, receives and returns the solution and changes no value.
 
     Raises:
         SolverConvergenceError: on either route, before any solve, when a
             column of b holds NaN or inf (its residual reads NaN); when
             :func:`_check_conditioning` refuses the grounded factor; and when
-            a route misses the tolerance.
+            a chunk misses the tolerance, naming columns as b numbers them.
     """
     config = config or SolverConfig()
-    b = np.asarray(b, dtype=np.float64)
-    single = b.ndim == 1
-    mat = b[:, None] if single else b
-    if mat.ndim != 2 or mat.shape[0] != graph.num_nodes:
-        raise ValueError(f"right-hand side must have leading dimension "
-                         f"{graph.num_nodes}, got shape {b.shape}")
+    b, mat = _columns(graph, b)
+    if out is not None and (out.shape, out.dtype) != (b.shape, np.float64):
+        raise ValueError(f"out must be a float64 array of shape {b.shape}")
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=0))
     if bad.size:
         raise SolverConvergenceError(
             f"right-hand side holds NaN or inf in {bad.size} column(s), "
             f"first at column {int(bad[0])}",
             residuals=np.full(bad.size, np.nan), columns=bad)
-    projected = project_out_nullspace(graph, mat)
     plan = _plan(graph, solve=True)
-    if plan.route == "PCG":
-        k = projected.shape[1]
-        # a lone column runs beside a zero one, so it takes the batched
-        # kernels and matches its own column in any batch bit for bit
-        if k == 1:
-            projected = np.column_stack([projected, np.zeros(graph.num_nodes)])
-        x = _refined_pcg(graph, *plan.parts, projected, config)[:, :k]
-        return x[:, 0] if single else x
-    keep, lu = plan.parts
-    x = np.zeros_like(projected)
-    x[keep] = lu.solve(projected[keep])
-    x = project_out_nullspace(graph, x)
-    resid = np.linalg.norm(laplacian_csr(graph) @ x - projected, axis=0)
-    error = _convergence_error("sparse LU", config.rel_tolerance, resid,
-                               np.linalg.norm(projected, axis=0))
-    if error is not None:
-        raise error
-    return x[:, 0] if single else x
+    x = np.empty(b.shape) if out is None else out
+    solution = x[:, None] if x.ndim == 1 else x
+    low = True
+    for first in range(0, mat.shape[1], _CHUNK_COLUMNS):
+        cols = slice(first, first + _CHUNK_COLUMNS)
+        rhs = project_out_nullspace(graph, mat[:, cols])
+        if plan.route == "PCG":
+            solution[:, cols], low = _refined_pcg(graph, *plan.parts, rhs,
+                                                  config, low, first)
+            continue
+        keep, lu = plan.parts
+        chunk = np.zeros_like(rhs)
+        chunk[keep] = lu.solve(rhs[keep])
+        solution[:, cols] = chunk = project_out_nullspace(graph, chunk)
+        resid = np.linalg.norm(laplacian_csr(graph) @ chunk - rhs, axis=0)
+        error = _convergence_error("sparse LU", config.rel_tolerance, resid,
+                                   np.linalg.norm(rhs, axis=0), first)
+        if error is not None:
+            raise error
+    return x

@@ -132,7 +132,8 @@ def _cluster_column(values: np.ndarray, tolerance: float) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     breaks = np.empty(ranked.size, dtype=np.int64)
     breaks[0] = 0
-    breaks[1:] = (np.diff(ranked) > tolerance).astype(np.int64)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, not a break
+        breaks[1:] = np.diff(ranked) > tolerance
     ids_sorted = np.cumsum(breaks)
     out = np.empty_like(ids_sorted)
     out[order] = ids_sorted

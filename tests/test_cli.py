@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,26 @@ def test_compute_unallocatable_node_count_is_exit_2(tmp_path, capsys, name,
     assert "nodes cannot be allocated" in err
 
 
+def test_sizes_beyond_any_address_space_are_exit_2(tmp_path, capsys):
+    # every array asked for here needs exabytes or cannot be sized at all,
+    # so each request fails at once and nothing is allocated
+    graph_file = _write_cycle(tmp_path, 200)
+    for argv, message in [
+            (["compute", "--input", str(graph_file), "--epsilon", "2e-7",
+              "--out", str(tmp_path / "x.json")], "Unable to allocate"),
+            (["bench", "--n", "100", "--m", "300", "--epsilon", "2e-7"],
+             "Unable to allocate"),
+            (["gen", "random", "--n", str(10 ** 18)], "Unable to allocate"),
+            (["gen", "random", "--n", "10", "--avg-degree", "inf"],
+             "cannot convert float infinity to integer")]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_environment_does_not_change_compute(tmp_path, monkeypatch):
     # the solver settings are flags only: values that would break the
     # solve, set in the environment, leave the run and its bytes unchanged
@@ -231,6 +252,11 @@ def test_demo_expressivity_witness(capsys):
     assert "plain" in out and "classes=3" in out
 
 
+def test_demo_expressivity_bad_pair_selector_is_exit_2(capsys):
+    assert main(["demo-expressivity", "--graph", "pair:x"]) == 2
+    assert "bad pair selector 'pair:x'; use pair:K" in capsys.readouterr().err
+
+
 def test_demo_expressivity_pair_json(capsys):
     code = main(["demo-expressivity", "--graph", "pair:1", "--json"])
     assert code == 0
@@ -281,6 +307,17 @@ def test_gen_random_deterministic(capsys):
     assert first == capsys.readouterr().out
 
 
+def test_gen_path(tmp_path, capsys):
+    assert main(["gen", "path", "--n", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["num_nodes"] == 4
+    assert doc["edges"] == [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]
+    out = tmp_path / "path.json"
+    assert main(["gen", "path", "--n", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == doc
+
+
 def test_gen_witness(capsys):
     assert main(["gen", "witness"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -322,6 +359,16 @@ def test_bench_edge_count_is_honoured_or_refused(capsys):
     for m in (9, 45):
         assert main(["bench", "--n", "10", "--m", str(m)]) == 0
         assert json.loads(capsys.readouterr().out)["num_edges"] == m
+
+
+def test_bench_track_memory_reports_a_traced_peak(capsys):
+    assert main(["bench", "--n", "600", "--m", "1800", "--epsilon", "0.5",
+                 "--track-memory"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["peak_traced_mb"] > 0
+    assert not tracemalloc.is_tracing()
+    assert main(["bench", "--n", "600", "--m", "1800", "--epsilon", "0.5"]) == 0
+    assert "peak_traced_mb" not in json.loads(capsys.readouterr().out)
 
 
 def test_bench_needs_two_nodes(capsys):

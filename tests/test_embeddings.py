@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from affinity import embeddings
+from affinity import solvers
 from affinity.embeddings import (exact_embedding, jl_dimension,
                                  random_rotation, sketched_embedding)
 from affinity.graph import build_graph
@@ -67,11 +67,11 @@ def test_sketched_embedding_deterministic_bitwise():
 
 
 def _sketches_at_chunk_sizes(monkeypatch, g, chunks):
-    """Sketch vectors of g (eps 0.4, seed 5) with _CHUNK_ROWS set to each
-    of chunks in turn."""
+    """Sketch vectors of g (eps 0.4, seed 5) with solvers._CHUNK_COLUMNS set
+    to each of chunks in turn."""
     vectors = []
     for chunk in chunks:
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", chunk)
         vectors.append(sketched_embedding(g, 0.4, seed=5).vectors)
     return vectors
 
@@ -102,8 +102,10 @@ def test_sketch_convergence_error_states_its_rows_briefly():
     assert list(err.columns) == list(range(128))
     assert len(err.residuals) == 128
     message = str(err)
-    assert message.startswith(f"128 of {k} sketch rows (0-127) did not converge")
-    assert "worst relative residual" in message
+    assert message.startswith("sparse LU missed tolerance 1e-30 on 128 "
+                              "column(s); worst relative residual ")
+    worst = int(err.columns[np.argmax(err.residuals)])
+    assert message.endswith(f" at column {worst}")
     assert len(message) < 250
 
 
@@ -223,7 +225,7 @@ def test_sketch_follows_the_readme_stream_layout(name, monkeypatch):
         g, _ = disjoint_union(random_connected_graph(25, 3.0, seed=22),
                               random_connected_graph(15, 3.0, (0.5, 2.0),
                                                      seed=23))
-    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 50)
+    monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", 50)
     for seed in (0, 3):
         expected = _readme_sketch(g, 0.5, seed)
         got = sketched_embedding(g, 0.5, seed=seed).vectors

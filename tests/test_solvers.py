@@ -71,6 +71,16 @@ def test_projection_of_a_block_subtracts_each_component_mean():
     assert np.array_equal(out[8], np.zeros(4))
 
 
+def test_projection_and_solve_refuse_other_shapes():
+    g = build_graph(4, [(0, 1), (2, 3)])
+    for b in (np.ones((4, 2, 2)), np.ones((3, 2)), np.ones(5), np.float64(1)):
+        with pytest.raises(ValueError, match=r"expected shape \(4,\) or "
+                                             r"\(4, k\), got "):
+            project_out_nullspace(g, b)
+        with pytest.raises(ValueError, match="expected shape"):
+            solve_laplacian(g, b)
+
+
 def test_pseudoinverse_single_edge():
     g = build_graph(2, [(0, 1)])
     p = dense_pseudoinverse(g)
@@ -537,7 +547,7 @@ def test_grid_factors_once_and_an_expander_never(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "splu", counting)
-    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 40)
+    monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", 40)
     g = build_grid(30, 30)
     sketch = sketched_embedding(g, 0.5, seed=2)
     assert sketch.dim > 3 * 40
@@ -629,7 +639,7 @@ def test_sketch_rows_do_not_depend_on_chunk_size(monkeypatch):
     assert solvers._plan(g, solve=True).route == "PCG"
     rows = {}
     for chunk in (7, 64, 128):
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", chunk)
         rows[chunk] = sketched_embedding(g, 0.5, seed=4).vectors
     assert rows[7].shape[1] % 7 and rows[7].shape[1] % 64
     assert np.array_equal(rows[7], rows[128])
@@ -650,7 +660,7 @@ def test_a_sketch_builds_its_float32_operator_and_preconditioner_once(
                     max_iterations)
 
     monkeypatch.setattr(solvers, "pcg", keeping)
-    monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 40)
+    monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", 40)
     assert reference.shape[1] > 3 * 40
     for _ in range(2):
         rows = sketched_embedding(g, 0.5, seed=4).vectors
@@ -740,6 +750,97 @@ def test_iteration_cap_counts_every_round(monkeypatch):
                   if m - int(solvers._FLOAT32_SHARE * m) >= used64)
     x = solve_laplacian(g, b, SolverConfig(max_iterations=enough))
     _assert_solves_to_tolerance(g, b, x)
+
+
+@pytest.mark.parametrize("damped_call, expected", [
+    # a chunk that discards float32 before accepting a round sends the
+    # next chunk of the call straight to float64
+    (1, ["float32", "float64", "float64"]),
+    # after accepted float32 rounds, the next chunk tries float32 again
+    (2, ["float32", "float32", "float64", "float32", "float32"]),
+])
+def test_a_call_keeps_one_float32_verdict_across_its_chunks(
+        monkeypatch, damped_call, expected):
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=63)
+    real = solvers.pcg
+    calls = []
+
+    def damped(matvec, precond_diag_inv, rhs, rel_tolerance, max_iterations):
+        x, used = real(matvec, precond_diag_inv, rhs, rel_tolerance,
+                       max_iterations)
+        calls.append(rhs.dtype.name)
+        if calls.count("float32") == damped_call and rhs.dtype == np.float32:
+            x = 0.2 * x  # fails to halve the residual: discarded
+        return x, used
+
+    monkeypatch.setattr(solvers, "pcg", damped)
+    monkeypatch.setattr(solvers, "_CHUNK_COLUMNS", 3)
+    b = np.random.default_rng(64).standard_normal((600, 6))
+    x = solve_laplacian(g, b)
+    assert calls == expected
+    _assert_solves_to_tolerance(g, b, x)
+    # the verdict ends with the call
+    calls.clear()
+    solve_laplacian(g, b[:, 3:])
+    assert calls[0] == "float32"
+
+
+def test_a_sketch_discards_one_float32_round_and_moves_no_bit(monkeypatch):
+    # k = 299 rows in three chunks; float32 stalls in the first, and the
+    # other two run float64 alone, which reaches the bits that a chunk gets
+    # after discarding a float32 round of its own
+    g = _spread_graph(5000, 5, 2, avg_degree=10.0, weight_seed=7)
+    folded = []
+
+    def keeping(graph, b, config, out):
+        folded.append((b.copy(), config))
+        return solve_laplacian(graph, b, config, out=out)
+
+    monkeypatch.setattr(embeddings, "solve_laplacian", keeping)
+    calls = _recording_pcg(monkeypatch)
+    rows = sketched_embedding(g, 0.5, seed=3).vectors
+    assert rows.shape[1] == 299
+    assert [(dtype, used is None) for dtype, _, used in calls] == [
+        ("float32", True), ("float64", False), ("float64", False),
+        ("float64", False)]
+    assert [limit for _, limit, _ in calls] == [90, 817, 907, 907]
+    (b, config), = folded
+    calls.clear()
+    last = solve_laplacian(g, b[:, 256:], config)
+    assert [dtype for dtype, _, _ in calls] == ["float32", "float64"]
+    assert np.array_equal(last, rows[:, 256:])
+
+
+def test_solve_laplacian_works_in_chunks_and_names_columns_as_given(
+        monkeypatch):
+    g = random_connected_graph(600, 6.0, (0.5, 2.0), seed=24)
+    widths = []
+    real = solvers.pcg
+
+    def measuring(matvec, precond_diag_inv, rhs, rel_tolerance,
+                  max_iterations):
+        widths.append(rhs.shape[1])
+        return real(matvec, precond_diag_inv, rhs, rel_tolerance,
+                    max_iterations)
+
+    monkeypatch.setattr(solvers, "pcg", measuring)
+    b = np.random.default_rng(25).standard_normal((600, 300))
+    x = solve_laplacian(g, b)
+    assert widths and max(widths) <= solvers._CHUNK_COLUMNS == 128
+    _assert_solves_to_tolerance(g, b, x)
+    # out may be b itself, and moves no bit
+    assert solve_laplacian(g, b, out=b) is b
+    assert np.array_equal(b, x)
+    with pytest.raises(ValueError, match="out must be a float64 array"):
+        solve_laplacian(g, x, out=np.empty((600, 299)))
+    # the first chunk is zero and converges at once; the second misses
+    b[:, :128] = 0.0
+    with pytest.raises(SolverConvergenceError) as excinfo:
+        solve_laplacian(g, b, SolverConfig(max_iterations=1))
+    err = excinfo.value
+    assert list(err.columns) == list(range(128, 256))
+    worst = int(err.columns[np.argmax(err.residuals)])
+    assert str(err).endswith(f" at column {worst}") and worst >= 128
 
 
 def test_weights_over_ten_decades_solve_under_default_settings(monkeypatch):

@@ -248,6 +248,17 @@ def test_quantize_is_stable_under_tiny_perturbation():
                           quantize_edge_values(noisy, 1e-9))
 
 
+def test_quantize_repeated_infinities_share_ids_without_a_warning():
+    # inf - inf is NaN: the gap between equal infinities must not warn,
+    # which filterwarnings = error would turn into a failure
+    inf = float("inf")
+    values = np.array([inf, 1.0, -inf, inf, 1.0 + 1e-12, -inf, 2.0])
+    ids = quantize_edge_values(values, 1e-9)
+    assert ids.tolist() == [3, 1, 0, 3, 1, 0, 2]
+    assert quantize_edge_values(np.full((3, 2), inf), 1e-9).tolist() \
+        == [[0, 0]] * 3
+
+
 def test_quantize_vectors_per_column():
     vals = np.array([[1.0, 5.0], [1.0 + 1e-12, 7.0], [3.0, 5.0]])
     ids = quantize_edge_values(vals, 1e-9)
